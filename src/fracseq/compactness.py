@@ -22,15 +22,17 @@ from .coefficients import FractionalOrder
 from .errors import CostGuardError
 from .matrix_domain import (
     SUBSET_GUARD_ENV,
+    HatMatrixWindow,
     MatrixSource,
+    _columns,
     _enumerate_subsets,
     _greedy_subset,
-    _pad_rows,
+    _row_norms,
     hat_matrix,
     subset_guard_limit,
 )
 from .serialize import format_float
-from .transforms import Exponent, lq_norm
+from .transforms import Exponent
 
 VERDICT_COMPACT = "compact"
 VERDICT_NONCOMPACT = "noncompact"
@@ -174,18 +176,9 @@ def _check_grid(name: str, grid, *, upper_exclusive: int | None = None) -> list[
     return values
 
 
-def _float_rows(A: MatrixSource, order, row_count: int, column_bound: int):
-    window = hat_matrix(A, order, row_count, column_bound)
-    return window.as_float_rows()
-
-
-def _suffix_max(values) -> list[float]:
-    out = [0.0] * len(values)
-    best = 0.0
-    for i in range(len(values) - 1, -1, -1):
-        best = max(best, values[i])
-        out[i] = best
-    return out
+def _suffix_max(values) -> np.ndarray:
+    """``out[i] = max(values[i:])`` for nonnegative values."""
+    return np.maximum.accumulate(np.asarray(values, dtype=float)[::-1])[::-1]
 
 
 def mnc_c0(A: MatrixSource, order, p, *, r_grid, row_count, column_bound,
@@ -200,10 +193,8 @@ def mnc_c0(A: MatrixSource, order, p, *, r_grid, row_count, column_bound,
     order = FractionalOrder.of(order)
     q = Exponent.of(p).q
     grid = _check_grid("r_grid", r_grid, upper_exclusive=row_count)
-    rows = _float_rows(A, order, row_count, column_bound)
-    norms = [lq_norm(row, q) for row in rows]
-    suffix = _suffix_max(norms)
-    values = [suffix[r] for r in grid]
+    window = hat_matrix(A, order, row_count, column_bound)
+    values = _suffix_max(_row_norms(window.values, q))[grid].tolist()
     limit = LimitGrid(tuple(grid), tuple(values), stabilization.window, stabilization.tolerance)
     est = limit.estimate
     notes = (
@@ -216,18 +207,23 @@ def mnc_c0(A: MatrixSource, order, p, *, r_grid, row_count, column_bound,
 def estimate_alpha_hat(A: MatrixSource, order, *, row_count, column_bound,
                        stabilization: StabilizationPolicy = StabilizationPolicy()) -> list[AlphaHatEstimate]:
     """Per-column limits of the transformed window, from the trailing rows."""
-    rows = _float_rows(A, FractionalOrder.of(order), row_count, column_bound)
+    window = hat_matrix(A, order, row_count, column_bound)
+    return _alpha_hat(window, column_bound, stabilization)
+
+
+def _alpha_hat(window: HatMatrixWindow, column_bound: int,
+               stabilization: StabilizationPolicy) -> list[AlphaHatEstimate]:
     w = stabilization.window
-    eps = stabilization.tolerance
-    out = []
-    for k in range(column_bound):
-        samples = [row[k] if k < len(row) else 0.0 for row in rows]
-        tail = samples[-w:]
-        estimate = sum(tail) / len(tail)
-        converged = len(samples) >= w and all(abs(s - estimate) <= eps for s in tail)
-        kept = samples[-2 * w:]
-        out.append(AlphaHatEstimate(k, tuple(kept), estimate, converged))
-    return out
+    kept = _columns(window.values[-2 * w:], column_bound)
+    tail = kept[-w:]
+    estimates = tail.sum(axis=0) / len(tail)
+    converged = (np.abs(tail - estimates) <= stabilization.tolerance).all(axis=0)
+    converged &= window.row_count >= w
+    return [
+        AlphaHatEstimate(k, tuple(samples), estimate, ok)
+        for k, (samples, estimate, ok) in enumerate(
+            zip(kept.T.tolist(), estimates.tolist(), converged.tolist()))
+    ]
 
 
 def mnc_c(A: MatrixSource, order, p, *, r_grid, row_count, column_bound,
@@ -244,21 +240,11 @@ def mnc_c(A: MatrixSource, order, p, *, r_grid, row_count, column_bound,
     order = FractionalOrder.of(order)
     q = Exponent.of(p).q
     grid = _check_grid("r_grid", r_grid, upper_exclusive=row_count)
-    rows = _float_rows(A, order, row_count, column_bound)
-    alpha = estimate_alpha_hat(A, order, row_count=row_count, column_bound=column_bound,
-                               stabilization=stabilization)
-    alpha_vec = [a.estimate for a in alpha]
+    window = hat_matrix(A, order, row_count, column_bound)
+    alpha = _alpha_hat(window, column_bound, stabilization)
+    alpha_vec = np.array([a.estimate for a in alpha])
     bad = [a.k for a in alpha if not a.converged]
-    norms = []
-    for row in rows:
-        width = max(len(row), column_bound)
-        diff = [
-            (row[k] if k < len(row) else 0.0) - (alpha_vec[k] if k < column_bound else 0.0)
-            for k in range(width)
-        ]
-        norms.append(lq_norm(diff, q))
-    suffix = _suffix_max(norms)
-    values = [suffix[r] for r in grid]
+    values = _suffix_max(_row_norms(window.values, q, center=alpha_vec))[grid].tolist()
     limit = LimitGrid(tuple(grid), tuple(values), stabilization.window, stabilization.tolerance)
     est = limit.estimate
     lower, upper = est / 2.0, est
@@ -287,8 +273,8 @@ def mnc_l1(A: MatrixSource, order, p, *, r_grid, row_count, column_bound,
     order = FractionalOrder.of(order)
     q = Exponent.of(p).q
     grid = _check_grid("r_grid", r_grid, upper_exclusive=row_count - 1)
-    rows = _float_rows(A, order, row_count, column_bound)
-    pool = _pad_rows(rows[1:])  # subset members always exceed r >= 0
+    window = hat_matrix(A, order, row_count, column_bound)
+    pool = window.values[1:]  # subset members always exceed r >= 0
     pool_size = row_count - 1
     if method == "exhaustive":
         limit_rows = subset_guard_limit()
@@ -298,11 +284,11 @@ def mnc_l1(A: MatrixSource, order, p, *, r_grid, row_count, column_bound,
                 f"limit of {limit_rows} (override via {SUBSET_GUARD_ENV})"
             )
         _, _, by_min = _enumerate_subsets(pool, q, want_by_min=True)
-        suffix = _suffix_max(by_min.tolist())  # by_min[j] covers original row j+1
+        suffix = _suffix_max(by_min).tolist()  # by_min[j] covers original row j+1
         values = [suffix[r] if r < pool_size else 0.0 for r in grid]
     elif method == "greedy":
         raw = [_greedy_subset(pool, q, list(range(r, pool_size)))[0] for r in grid]
-        values = _suffix_max(raw)  # a certificate found at larger r is valid at smaller r
+        values = _suffix_max(raw).tolist()  # a certificate found at larger r is valid at smaller r
     else:
         raise ValueError(f'method must be "exhaustive" or "greedy", got {method!r}')
     limit = LimitGrid(tuple(grid), tuple(values), stabilization.window, stabilization.tolerance)
@@ -318,15 +304,8 @@ def mnc_l1(A: MatrixSource, order, p, *, r_grid, row_count, column_bound,
 def _column_tail_report(A, order, q, criterion_id, *, r_grid, row_count, column_bound,
                         stabilization) -> CompactnessReport:
     grid = _check_grid("r_grid", r_grid)
-    rows = _float_rows(A, FractionalOrder.of(order), row_count, column_bound)
-    values = []
-    for r in grid:
-        best = 0.0
-        for row in rows:
-            v = lq_norm(row[r + 1:], q)
-            if v > best:
-                best = v
-        values.append(best)
+    window = hat_matrix(A, order, row_count, column_bound)
+    values = [float(_row_norms(window.values[:, r + 1:], q).max(initial=0.0)) for r in grid]
     limit = LimitGrid(tuple(grid), tuple(values), stabilization.window, stabilization.tolerance)
     est = limit.estimate
     notes = (
@@ -371,8 +350,7 @@ def sargent_criterion(A: MatrixSource, order, *, m_grid, row_count, column_windo
     grid = _check_grid("m_grid", m_grid, upper_exclusive=row_count)
     if not isinstance(column_window, int) or column_window < 2:
         raise ValueError(f"column_window must be an integer >= 2, got {column_window!r}")
-    rows = _float_rows(A, order, row_count, column_window)
-    C = _pad_rows(rows, width=column_window)
+    C = _columns(hat_matrix(A, order, row_count, column_window).values, column_window)
     defects = np.zeros(len(grid))
     for k1 in range(column_window - 1):
         diffs = np.abs(C[:, k1 + 1:] - C[:, k1: k1 + 1])

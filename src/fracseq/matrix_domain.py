@@ -1,10 +1,11 @@
 """Finite representations of infinite matrices and their transformed windows.
 
-A :class:`MatrixSource` yields one finitely stored row at a time.  The
-transformed window applies the upper-triangular dual convolution (the
-inverse-order coefficients) to every row; the result satisfies
-``A x == Ahat y`` entrywise whenever ``y`` is the forward transform of
-``x``, which is the integration contract the tests pin down.
+A :class:`MatrixSource` yields one finitely stored row at a time, or its
+leading rows at once as a zero-padded array.  The transformed window
+applies the upper-triangular dual convolution (the inverse-order
+coefficients) to every row; the result satisfies ``A x == Ahat y``
+entrywise whenever ``y`` is the forward transform of ``x``, which is the
+integration contract the tests pin down.
 
 Operator norms toward bounded-sequence targets are sups of
 conjugate-index row norms; the absolutely-summable target requires a
@@ -19,11 +20,13 @@ import math
 import os
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
 from .coefficients import FractionalOrder, raw_prefix
 from .errors import CostGuardError, SourceError
+from .serialize import json_integer, json_number, json_numbers
 from .transforms import Exponent, lq_norm, _is_exact_number
 
 KIND_DENSE = "dense-window"
@@ -36,6 +39,7 @@ DEFAULT_SUBSET_GUARD = 22
 SUBSET_GUARD_ENV = "FRACSEQ_MAX_SUBSET_ROWS"
 
 _CHUNK = 1 << 14
+_ROW_CHUNK = 256  # rows (and columns) per step of the hat product and row reductions
 
 
 def subset_guard_limit() -> int:
@@ -51,6 +55,10 @@ def subset_guard_limit() -> int:
     return limit
 
 
+def _not_finite(n: int, k: int, v) -> SourceError:
+    return SourceError(f"row {n} entry {k} is not a finite number: {v!r}")
+
+
 def _check_row_values(values, n: int) -> list:
     out = list(values)
     for k, v in enumerate(out):
@@ -58,8 +66,108 @@ def _check_row_values(values, n: int) -> list:
             continue
         if isinstance(v, float) and math.isfinite(v):
             continue
-        raise SourceError(f"row {n} entry {k} is not a finite number: {v!r}")
+        raise _not_finite(n, k, v)
     return out
+
+
+def _first_nonfinite(values: np.ndarray):
+    """``(row, column)`` of the first non-finite entry in row-major order, or None."""
+    bad = np.argwhere(~np.isfinite(values))
+    return tuple(bad[0].tolist()) if len(bad) else None
+
+
+def _call_row_fn(fn, n: int):
+    try:
+        return fn(n)
+    except (ValueError, SourceError):
+        raise
+    except Exception as exc:
+        raise SourceError(f"matrix source failed at row {n}: {exc}") from exc
+
+
+def _stack_rows(rows) -> tuple[np.ndarray, np.ndarray]:
+    """Ragged rows as one zero-padded float array plus each row's length."""
+    lengths = np.array([len(r) for r in rows], dtype=np.int64)
+    values = np.zeros((len(rows), int(lengths.max(initial=0))))
+    for n, r in enumerate(rows):
+        values[n, : len(r)] = r
+    return values, lengths
+
+
+# Block builders.  Each returns ``block(m)``, which yields rows ``0..m-1``
+# (``m`` never exceeds the declared row bound) as a fresh zero-padded array
+# exactly as wide as its longest row, plus the row lengths, and raises the
+# error ``row()`` would raise first when walking those rows in order.
+
+
+def _stored_block(stored):
+    """Rows held in memory; asking past them is an error.  Stacked on first use."""
+    stacked = None
+
+    def block(m):
+        nonlocal stacked
+        if stacked is None:
+            values, lengths = _stack_rows(stored)
+            stacked = values, lengths, _first_nonfinite(values)
+        values, lengths, bad = stacked
+        if bad is not None and bad[0] < m:
+            raise _not_finite(*bad, float(values[bad]))
+        if m > len(stored):
+            raise SourceError(f"row {len(stored)} outside the stored window of {len(stored)} rows")
+        width = int(lengths[:m].max(initial=0))
+        return values[:m, :width].copy(), lengths[:m].copy()
+
+    return block
+
+
+def _band_block(offsets, diags):
+    """``a[n, n + offsets[j]] = diags[j]`` (a scalar, or indexed by row and zero past its end)."""
+    top = max(offsets, default=0)  # row n holds columns up to n + top
+    arrays = [d if isinstance(d, float) else np.asarray(d, dtype=float) for d in diags]
+
+    def block(m):
+        lengths = np.maximum(np.arange(m) + top + 1, 0) if offsets else np.zeros(m, dtype=np.int64)
+        width = int(lengths.max(initial=0))
+        values = np.zeros((m, width))
+        flat = values.reshape(-1)
+        for o, d in zip(offsets, arrays):
+            lo = max(0, -o)  # first row whose band entry has a nonnegative column
+            if lo >= m:
+                continue
+            band = flat[lo * (width + 1) + o :: width + 1][: m - lo]
+            if isinstance(d, float):
+                band += d
+            else:
+                seg = d[lo:m]
+                band[: len(seg)] += seg
+        bad = _first_nonfinite(values)
+        if bad is not None:
+            raise _not_finite(*bad, float(values[bad]))
+        return values, lengths
+
+    return block
+
+
+def _diagonal_rows(value, shift: int):
+    """Row and block builders for rows holding one entry, ``value(n)`` at column ``n + shift``."""
+
+    def row_fn(n):
+        return [0.0] * (n + shift) + [value(n)]
+
+    def block(m):
+        diag = np.empty(m)
+        for n in range(m):
+            v = _call_row_fn(value, n)
+            if not math.isfinite(v):
+                raise _not_finite(n, n + shift, v)
+            diag[n] = v
+        n = np.arange(m)
+        lengths = n + shift + 1
+        values = np.zeros((m, int(lengths.max(initial=0))))
+        values[n, n + shift] = diag
+        return values, lengths
+
+    return row_fn, block
 
 
 class MatrixSource:
@@ -70,9 +178,11 @@ class MatrixSource:
     the zero tail beyond the stored entries is the true tail; otherwise
     the matrix is only known on the stored window.  ``declared_row_bound``
     asserts that rows at or past the bound are identically zero.
+    ``block(n)`` returns the first ``n`` rows at once.
     """
 
-    def __init__(self, kind, row_fn, *, row_bound=None, column_decay=True, payload=None):
+    def __init__(self, kind, row_fn, *, row_bound=None, column_decay=True, payload=None,
+                 block_fn=None):
         if kind not in (KIND_DENSE, KIND_BANDED, KIND_GENERATOR):
             raise ValueError(f"unknown matrix kind {kind!r}")
         if row_bound is not None and (not isinstance(row_bound, int) or row_bound < 0):
@@ -81,6 +191,7 @@ class MatrixSource:
         self.declared_row_bound = row_bound
         self.declared_column_decay = bool(column_decay)
         self._row_fn = row_fn
+        self._block_fn = block_fn
         self._payload = payload or {}
 
     def row(self, n: int) -> list:
@@ -88,13 +199,28 @@ class MatrixSource:
             raise ValueError(f"row index must be a nonnegative integer, got {n!r}")
         if self.declared_row_bound is not None and n >= self.declared_row_bound:
             return []
-        try:
-            values = self._row_fn(n)
-        except (ValueError, SourceError):
-            raise
-        except Exception as exc:
-            raise SourceError(f"matrix source failed at row {n}: {exc}") from exc
-        return _check_row_values(values, n)
+        return _check_row_values(_call_row_fn(self._row_fn, n), n)
+
+    def block(self, n_rows: int) -> tuple[np.ndarray, np.ndarray]:
+        """Rows ``0..n_rows-1`` as one zero-padded float array plus each row's stored length.
+
+        Row ``n`` is ``values[n, :lengths[n]]``, equal to ``row(n)`` in
+        floats, and the columns past it are zero; the array is as wide as
+        the longest row.  Errors are those ``row()`` raises first.  Sources
+        built from a callable, or holding exact numbers, are read through
+        ``row()``.  The array is new, so the caller may write to it.
+        """
+        if not isinstance(n_rows, int) or isinstance(n_rows, bool) or n_rows < 0:
+            raise ValueError(f"row count must be a nonnegative integer, got {n_rows!r}")
+        if self._block_fn is None:
+            return _stack_rows([self.row(n) for n in range(n_rows)])
+        bound = self.declared_row_bound
+        m = n_rows if bound is None else min(n_rows, bound)
+        values, lengths = self._block_fn(m)
+        if m < n_rows:  # rows at or past the bound are empty
+            values = np.vstack([values, np.zeros((n_rows - m, values.shape[1]))])
+            lengths = np.concatenate([lengths, np.zeros(n_rows - m, dtype=np.int64)])
+        return values, lengths
 
     # -- constructors ---------------------------------------------------
 
@@ -111,12 +237,15 @@ class MatrixSource:
                 return list(stored[n])
             raise SourceError(f"row {n} outside the stored window of {len(stored)} rows")
 
+        types = set(map(type, itertools.chain.from_iterable(stored)))
+        floats = all(issubclass(t, float) for t in types)
         return cls(
             KIND_DENSE,
             row_fn,
             row_bound=row_bound,
             column_decay=column_decay,
             payload={"rows": stored},
+            block_fn=_stored_block(stored) if floats else None,
         )
 
     @classmethod
@@ -159,23 +288,24 @@ class MatrixSource:
             row_bound=row_bound,
             column_decay=True,
             payload={"offsets": offsets, "diagonals": diags},
+            block_fn=_band_block(offsets, diags),
         )
 
     @classmethod
     def generator(cls, rule: str, params: dict | None = None) -> "MatrixSource":
         params = dict(params or {})
         if rule == "identity":
-            row_fn = lambda n: [0.0] * n + [1.0]
+            row_fn, block_fn = _diagonal_rows(lambda n: 1.0, 0)
             bound = None
         elif rule == "diagonal":
             if "values" in params:
                 values = [float(v) for v in params["values"]]
-                row_fn = lambda n: ([0.0] * n + [values[n]]) if n < len(values) else []
+                row_fn, block_fn = _diagonal_rows(values.__getitem__, 0)
                 bound = len(values)
             elif "ratio" in params:
                 scale = float(params.get("scale", 1.0))
                 ratio = float(params["ratio"])
-                row_fn = lambda n: [0.0] * n + [scale * ratio**n]
+                row_fn, block_fn = _diagonal_rows(lambda n: scale * ratio**n, 0)
                 bound = None
             else:
                 raise ValueError('diagonal rule needs params "values" or "ratio"')
@@ -183,7 +313,7 @@ class MatrixSource:
             if "rows" not in params:
                 raise ValueError('finite-rows rule needs params "rows"')
             stored = [[float(v) for v in r] for r in params["rows"]]
-            row_fn = lambda n: list(stored[n]) if n < len(stored) else []
+            row_fn, block_fn = (lambda n: list(stored[n])), _stored_block(stored)
             bound = len(stored)
         elif rule == "row-scaled-shift":
             scale = float(params.get("scale", 1.0))
@@ -191,7 +321,7 @@ class MatrixSource:
             shift = int(params.get("shift", 0))
             if shift < 0:
                 raise ValueError('row-scaled-shift param "shift" must be nonnegative')
-            row_fn = lambda n: [0.0] * (n + shift) + [scale * ratio**n]
+            row_fn, block_fn = _diagonal_rows(lambda n: scale * ratio**n, shift)
             bound = None
         else:
             raise ValueError(f"unknown generator rule {rule!r}; expected one of {GENERATOR_RULES}")
@@ -201,6 +331,7 @@ class MatrixSource:
             row_bound=bound,
             column_decay=True,
             payload={"rule": rule, "params": params},
+            block_fn=block_fn,
         )
 
     @classmethod
@@ -243,55 +374,98 @@ class MatrixSource:
 
     @classmethod
     def from_json_dict(cls, obj) -> "MatrixSource":
+        """Load the JSON form; malformed fields raise ``ValueError`` naming their path."""
         if not isinstance(obj, dict):
             raise ValueError("matrix JSON must be an object")
         kind = obj.get("kind")
+        row_bound = obj.get("row_bound")
+        if row_bound is not None:
+            row_bound = json_integer(row_bound, "matrix.row_bound")
         if kind == KIND_DENSE:
             rows = obj.get("rows")
             if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
                 raise ValueError('matrix field "rows" must be an array of arrays')
             return cls.dense_window(
-                [[float(v) for v in r] for r in rows],
-                row_bound=obj.get("row_bound"),
+                [json_numbers(r, f"matrix.rows[{n}]") for n, r in enumerate(rows)],
+                row_bound=row_bound,
                 column_decay=bool(obj.get("column_decay", True)),
             )
         if kind == KIND_BANDED:
             band = obj.get("band")
             if not isinstance(band, dict) or "offsets" not in band or "diagonals" not in band:
                 raise ValueError('matrix field "band" must hold "offsets" and "diagonals"')
-            return cls.banded(band["offsets"], band["diagonals"], row_bound=obj.get("row_bound"))
+            offsets, diagonals = band["offsets"], band["diagonals"]
+            for name, value in (("offsets", offsets), ("diagonals", diagonals)):
+                if not isinstance(value, list):
+                    raise ValueError(f'matrix field "band.{name}" must be an array')
+            offsets = [json_integer(o, "matrix.band.offsets", j) for j, o in enumerate(offsets)]
+            diagonals = [
+                json_numbers(d, f"matrix.band.diagonals[{j}]") if isinstance(d, list)
+                else json_number(d, "matrix.band.diagonals", j)
+                for j, d in enumerate(diagonals)
+            ]
+            return cls.banded(offsets, diagonals, row_bound=row_bound)
         if kind == KIND_GENERATOR:
             rule = obj.get("rule")
             if not isinstance(rule, str):
                 raise ValueError('matrix field "rule" must be a string')
-            return cls.generator(rule, obj.get("params") or {})
+            return cls.generator(rule, _json_params(obj.get("params") or {}))
         raise ValueError(f'matrix field "kind" must be one of {(KIND_DENSE, KIND_BANDED, KIND_GENERATOR)}, got {kind!r}')
 
 
-@dataclass(frozen=True)
-class HatMatrixWindow:
-    """Transformed rows, each stored at its natural support length."""
+def _json_params(params) -> dict:
+    """Generator params with each known field checked against its JSON type."""
+    if not isinstance(params, dict):
+        raise ValueError('matrix field "params" must be an object')
+    out = dict(params)
+    for key in ("scale", "ratio"):
+        if key in out:
+            out[key] = json_number(out[key], f"matrix.params.{key}")
+    if "shift" in out:
+        out["shift"] = json_integer(out["shift"], "matrix.params.shift")
+    if "values" in out:
+        out["values"] = json_numbers(out["values"], "matrix.params.values")
+    if "rows" in out:
+        rows = out["rows"]
+        if not isinstance(rows, list):
+            raise ValueError('matrix field "params.rows" must be an array')
+        out["rows"] = [json_numbers(r, f"matrix.params.rows[{n}]") for n, r in enumerate(rows)]
+    return out
 
-    rows: tuple
+
+@dataclass(frozen=True, eq=False)
+class HatMatrixWindow:
+    """Transformed rows as one zero-padded float array plus each row's natural length.
+
+    Row ``n`` is ``values[n, :lengths[n]]``; the columns past it hold
+    zeros.  An exact window also keeps its ``Fraction`` rows in
+    ``exact_rows``.
+    """
+
+    values: np.ndarray
+    lengths: np.ndarray
     column_bound: int
     exactness: str  # "exact" | "truncated"
+    exact_rows: tuple | None = None
 
     @property
     def row_count(self) -> int:
-        return len(self.rows)
+        return len(self.lengths)
+
+    @cached_property
+    def rows(self) -> tuple:
+        """Each row at its natural length: ``Fraction`` entries when exact, floats otherwise."""
+        if self.exact_rows is not None:
+            return self.exact_rows
+        return tuple(tuple(r) for r in self.as_float_rows())
 
     def as_float_rows(self) -> list[list[float]]:
-        return [[float(v) for v in r] for r in self.rows]
+        return [row[:n].tolist() for row, n in zip(self.values, self.lengths.tolist())]
 
     def dense(self, width: int | None = None) -> list[list[float]]:
         if width is None:
-            width = max([len(r) for r in self.rows] + [self.column_bound])
-        out = []
-        for r in self.rows:
-            row = [float(v) for v in r[:width]]
-            row.extend(0.0 for _ in range(width - len(row)))
-            out.append(row)
-        return out
+            width = max(self.values.shape[1], self.column_bound)
+        return _columns(self.values, width).tolist()
 
     def to_json_dict(self) -> dict:
         return {
@@ -299,6 +473,14 @@ class HatMatrixWindow:
             "column_bound": self.column_bound,
             "exactness": self.exactness,
         }
+
+
+def _columns(values: np.ndarray, width: int) -> np.ndarray:
+    """The first ``width`` columns of a zero-padded window, widened with zeros as needed."""
+    out = np.zeros((values.shape[0], width))
+    k = min(width, values.shape[1])
+    out[:, :k] = values[:, :k]
+    return out
 
 
 @dataclass(frozen=True)
@@ -332,48 +514,98 @@ def _window_args(row_count, column_bound):
             raise ValueError(f"{name} must be a positive integer, got {v!r}")
 
 
+def _triangular_product(values: np.ndarray, lengths: np.ndarray, alpha: float) -> None:
+    """``values <- values @ U`` in place, where ``U[j, k] = c_{j-k}`` for ``j >= k``.
+
+    ``c`` is the coefficient prefix at ``alpha``.  Rows go in chunks;
+    each chunk multiplies only the leading block ``U[:L, :L]`` its
+    longest row reaches, which keeps short rows cheap and the temporary
+    small.  That block is taken in column slabs left to right: slab
+    ``[k0, k1)`` needs only columns ``k0..L-1`` of the rows (``U`` is zero
+    above its diagonal), so it skips half the work and may overwrite
+    the columns it has consumed.
+    """
+    width = values.shape[1]
+    if width == 0:
+        return
+    padded = np.concatenate([np.zeros(width - 1), raw_prefix(alpha, width)])
+    U = np.ascontiguousarray(np.lib.stride_tricks.sliding_window_view(padded, width)[:, ::-1])
+    cols = np.arange(width)
+    for start in range(0, values.shape[0], _ROW_CHUNK):
+        lens = lengths[start:start + _ROW_CHUNK]
+        L = int(lens.max())
+        head = values[start:start + _ROW_CHUNK, :L]
+        for k0 in range(0, L, _ROW_CHUNK):
+            k1 = min(k0 + _ROW_CHUNK, L)
+            head[:, k0:k1] = head[:, k0:] @ U[k0:L, k0:k1]
+        if lens.min() < L:  # past a row's end the product holds zeros of either sign
+            np.copyto(head, 0.0, where=cols[:L] >= lens[:, None])
+
+
 def hat_matrix(A: MatrixSource, order, row_count: int, column_bound: int) -> HatMatrixWindow:
     """Transformed window: each row convolved with the inverse-order prefix.
 
     Exact when the source declares finite row supports (stored entries
     are the whole row); otherwise rows are clipped at ``column_bound``
-    and the window is tagged truncated.
+    and the window is tagged truncated.  Rows holding only exact numbers
+    at an exact order give ``Fraction`` rows; every other window is one
+    triangular product on the float block of the rows.
     """
     order = FractionalOrder.of(order)
     _window_args(row_count, column_bound)
-    stored_rows = []
-    for n in range(row_count):
-        values = A.row(n)
-        if not A.declared_column_decay and len(values) > column_bound:
-            values = values[:column_bound]
-        stored_rows.append(values)
-    exact = order.is_exact and all(all(_is_exact_number(v) for v in r) for r in stored_rows)
+    exactness = "exact" if A.declared_column_decay else "truncated"
+    clip = None if A.declared_column_decay else column_bound
+    if order.is_exact and A._block_fn is None:
+        stored_rows = [A.row(n)[:clip] for n in range(row_count)]
+        if all(all(_is_exact_number(v) for v in r) for r in stored_rows):
+            hat_rows = _exact_hat_rows(stored_rows, -order.exact)
+            return HatMatrixWindow(*_stack_rows(hat_rows), column_bound, exactness, hat_rows)
+        values, lengths = _stack_rows(stored_rows)
+    else:
+        values, lengths = A.block(row_count)
+        if clip is not None and values.shape[1] > clip:
+            values = values[:, :clip].copy()
+            lengths = np.minimum(lengths, clip)
+    _triangular_product(values, lengths, -order.value)
+    return HatMatrixWindow(values, lengths, column_bound, exactness)
+
+
+def _exact_hat_rows(stored_rows, alpha: Fraction) -> tuple:
     max_len = max((len(r) for r in stored_rows), default=0)
-    alpha = -order.exact if exact else -order.value
     coeffs = raw_prefix(alpha, max_len) if max_len else []
     hat_rows = []
     for values in stored_rows:
         s = len(values)
-        if s == 0:
-            hat_rows.append(())
-            continue
-        if exact:
-            row = []
-            for k in range(s):
-                acc = Fraction(0)
-                for j in range(k, s):
-                    acc += coeffs[j - k] * values[j]
-                row.append(acc)
-            hat_rows.append(tuple(row))
-        else:
-            floats = [float(v) for v in values]
-            conv = np.convolve(floats[::-1], coeffs[:s])[:s][::-1]
-            hat_rows.append(tuple(conv.tolist()))
-    return HatMatrixWindow(
-        rows=tuple(hat_rows),
-        column_bound=column_bound,
-        exactness="exact" if A.declared_column_decay else "truncated",
-    )
+        row = []
+        for k in range(s):
+            acc = Fraction(0)
+            for j in range(k, s):
+                acc += coeffs[j - k] * values[j]
+            row.append(acc)
+        hat_rows.append(tuple(row))
+    return tuple(hat_rows)
+
+
+def _row_norms(values: np.ndarray, q: float, center: np.ndarray | None = None) -> np.ndarray:
+    """``l_q`` norm of every row of a zero-padded window, taken in row chunks.
+
+    ``center``, when given, is subtracted from the leading columns of
+    every row first; the rows are widened with zeros to fit it.
+    """
+    n, width = values.shape
+    if center is not None:
+        width = max(width, len(center))
+    out = np.empty(n)
+    buf = np.empty((min(n, _ROW_CHUNK), width))
+    for start in range(0, n, _ROW_CHUNK):
+        chunk = values[start:start + _ROW_CHUNK]
+        work = buf[: len(chunk)]
+        work[:, : chunk.shape[1]] = chunk
+        if center is not None:
+            work[:, chunk.shape[1]:] = 0.0
+            work[:, : len(center)] -= center
+        out[start:start + _ROW_CHUNK] = _chunk_norms(work, q)
+    return out
 
 
 def opnorm_to_linf(A: MatrixSource, order, p, row_count: int, column_bound: int) -> float:
@@ -384,12 +616,7 @@ def opnorm_to_linf(A: MatrixSource, order, p, row_count: int, column_bound: int)
     """
     q = Exponent.of(p).q
     window = hat_matrix(A, order, row_count, column_bound)
-    best = 0.0
-    for row in window.rows:
-        v = lq_norm(row, q)
-        if v > best:
-            best = v
-    return best
+    return float(_row_norms(window.values, q).max(initial=0.0))
 
 
 def _mask_tuple(mask: int) -> tuple:
@@ -403,23 +630,14 @@ def _mask_tuple(mask: int) -> tuple:
     return tuple(out)
 
 
-def _pad_rows(rows, width: int | None = None) -> np.ndarray:
-    if width is None:
-        width = max([len(r) for r in rows] + [1])
-    arr = np.zeros((len(rows), width))
-    for i, r in enumerate(rows):
-        vals = [float(v) for v in r[:width]]
-        arr[i, : len(vals)] = vals
-    return arr
-
-
 def _chunk_norms(sums: np.ndarray, q: float) -> np.ndarray:
-    a = np.abs(sums)
+    """``l_q`` norm of each row of ``sums``, which it overwrites."""
+    a = np.abs(sums, out=sums)
     if math.isinf(q):
-        return a.max(axis=1)
+        return a.max(axis=1, initial=0.0)
     if q == 1.0:
         return a.sum(axis=1)
-    return (a**q).sum(axis=1) ** (1.0 / q)
+    return np.power(a, q, out=a).sum(axis=1) ** (1.0 / q)
 
 
 def _enumerate_subsets(rows: np.ndarray, q: float, want_by_min: bool):
@@ -492,7 +710,7 @@ def opnorm_to_l1(
     """
     q = Exponent.of(p).q
     window = hat_matrix(A, order, row_count, column_bound)
-    rows = _pad_rows(window.rows)
+    rows = window.values
     if method == "exhaustive":
         limit = subset_guard_limit()
         if row_count > limit:

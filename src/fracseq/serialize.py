@@ -61,6 +61,44 @@ def parse_ratio(text: str) -> Fraction:
     raise ValueError(f"malformed ratio {text!r}")
 
 
+def _describe(value) -> str:
+    text = json.dumps(value, default=repr)
+    return text if len(text) <= 40 else text[:37] + "..."
+
+
+def json_number(value, path: str, index: int | None = None) -> float:
+    """A parsed JSON number as a float.
+
+    Anything else (``null``, a string, a boolean, an array, an integer
+    beyond float range) raises ``ValueError`` naming the JSON path
+    ``path`` or ``path[index]``.
+    """
+    if not isinstance(value, bool) and isinstance(value, (int, float)):
+        try:
+            return float(value)
+        except OverflowError:
+            pass
+    where = path if index is None else f"{path}[{index}]"
+    raise ValueError(f"{where} must be a number, got {_describe(value)}")
+
+
+def json_integer(value, path: str, index: int | None = None) -> int:
+    """A parsed JSON integer (or integral float), else ``ValueError`` naming the path."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    where = path if index is None else f"{path}[{index}]"
+    raise ValueError(f"{where} must be an integer, got {_describe(value)}")
+
+
+def json_numbers(values, path: str) -> list[float]:
+    """A parsed JSON array of numbers as floats, naming the first bad entry by its path."""
+    if not isinstance(values, list):
+        raise ValueError(f"{path} must be an array, got {_describe(values)}")
+    return [json_number(v, path, k) for k, v in enumerate(values)]
+
+
 def values_to_csv(values) -> str:
     """Single-column CSV, one value per line."""
     return "\n".join(format_float(v) for v in values) + "\n"

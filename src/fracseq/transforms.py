@@ -19,7 +19,7 @@ from fractions import Fraction
 import numpy as np
 
 from .coefficients import FractionalOrder, raw_prefix
-from .serialize import format_float, values_from_csv, values_to_csv
+from .serialize import format_float, json_numbers, parse_ratio, values_from_csv, values_to_csv
 
 ADAPTIVE_WINDOW = 16  # consecutive small increments required past the support
 
@@ -86,7 +86,7 @@ class FiniteSequence:
         entries = obj["entries"]
         if not isinstance(entries, list):
             raise ValueError('sequence field "entries" must be an array')
-        return cls([float(v) for v in entries])
+        return cls(json_numbers(entries, "sequence.entries"))
 
     def to_csv(self) -> str:
         return values_to_csv(self.as_floats())
@@ -108,8 +108,7 @@ class Exponent:
             if text in ("inf", "infinity", "oo"):
                 p = math.inf
             elif "/" in text:
-                num, _, den = text.partition("/")
-                p = int(num) / int(den)
+                p = float(parse_ratio(text))
             else:
                 p = float(text)
         elif isinstance(p, Fraction):

@@ -191,6 +191,45 @@ def test_exit_code_2_on_bad_input(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("payload, path", [
+    ({"kind": "banded", "band": {"offsets": [None], "diagonals": [1.0]}}, "matrix.band.offsets[0]"),
+    ({"kind": "banded", "band": {"offsets": [0, 1], "diagonals": [1.0, [2.0, None]]}},
+     "matrix.band.diagonals[1][1]"),
+    ({"kind": "banded", "band": {"offsets": [0], "diagonals": ["1"]}}, "matrix.band.diagonals[0]"),
+    ({"kind": "dense-window", "rows": [[None]]}, "matrix.rows[0][0]"),
+    ({"kind": "dense-window", "rows": [[1.0]], "row_bound": "1"}, "matrix.row_bound"),
+    ({"kind": "generator", "rule": "diagonal", "params": {"ratio": None}}, "matrix.params.ratio"),
+    ({"kind": "generator", "rule": "finite-rows", "params": {"rows": [[1.0, None]]}},
+     "matrix.params.rows[0][1]"),
+])
+def test_malformed_matrix_payload_exits_2(tmp_path, capsys, payload, path):
+    matrix = tmp_path / "m.json"
+    write_json(matrix, payload)
+    code, _, err = invoke(capsys, "hat", "--order", "1/2", "--matrix", str(matrix),
+                          "--rows", "3", "--cols", "3")
+    assert code == 2
+    assert path in err
+    assert "Traceback" not in err
+
+
+def test_malformed_sequence_entry_exits_2(tmp_path, capsys):
+    seq = tmp_path / "x.json"
+    write_json(seq, {"entries": [1, None]})
+    code, _, err = invoke(capsys, "transform", "--order", "1/2", "--in", str(seq))
+    assert code == 2
+    assert "sequence.entries[1]" in err
+    assert "Traceback" not in err
+
+
+def test_zero_denominator_p_exits_2(tmp_path, capsys):
+    seq = tmp_path / "x.json"
+    write_json(seq, {"entries": [1.0]})
+    code, _, err = invoke(capsys, "norm", "--order", "1/2", "--p", "1/0", "--in", str(seq))
+    assert code == 2
+    assert err.startswith("error: p:")
+    assert "Traceback" not in err
+
+
 def test_exit_code_3_on_cost_guard(tmp_path, capsys, monkeypatch):
     matrix = tmp_path / "ident.json"
     write_json(matrix, {"kind": "generator", "rule": "identity", "params": {}})

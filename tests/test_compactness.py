@@ -137,6 +137,22 @@ def test_mnc_c_unconverged_columns_poison_verdict_only():
     assert all(v >= 1.0 for v in report.grid.values)
 
 
+def test_mnc_c_builds_its_window_once(monkeypatch):
+    import fracseq.compactness as compactness
+
+    calls = []
+    real = compactness.hat_matrix
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(compactness, "hat_matrix", counting)
+    mnc_c(MatrixSource.generator("identity"), HALF, 2, r_grid=[8, 10, 12], row_count=16,
+          column_bound=16)
+    assert len(calls) == 1
+
+
 def test_estimate_alpha_hat_identity_columns():
     A = triangle_source(HALF, 32)
     estimates = estimate_alpha_hat(A, HALF, row_count=32, column_bound=16)
