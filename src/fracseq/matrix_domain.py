@@ -101,21 +101,16 @@ def _stack_rows(rows) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _stored_block(stored):
-    """Rows held in memory; asking past them is an error.  Stacked on first use."""
-    stacked = None
+    """Rows held in memory; asking past them is an error."""
 
     def block(m):
-        nonlocal stacked
-        if stacked is None:
-            values, lengths = _stack_rows(stored)
-            stacked = values, lengths, _first_nonfinite(values)
-        values, lengths, bad = stacked
-        if bad is not None and bad[0] < m:
+        values, lengths = _stack_rows(stored[:m])
+        bad = _first_nonfinite(values)
+        if bad is not None:
             raise _not_finite(*bad, float(values[bad]))
         if m > len(stored):
             raise SourceError(f"row {len(stored)} outside the stored window of {len(stored)} rows")
-        width = int(lengths[:m].max(initial=0))
-        return values[:m, :width].copy(), lengths[:m].copy()
+        return values, lengths
 
     return block
 
@@ -181,8 +176,7 @@ class MatrixSource:
     ``block(n)`` returns the first ``n`` rows at once.
     """
 
-    def __init__(self, kind, row_fn, *, row_bound=None, column_decay=True, payload=None,
-                 block_fn=None):
+    def __init__(self, kind, row_fn, *, row_bound=None, column_decay=True, payload=None):
         if kind not in (KIND_DENSE, KIND_BANDED, KIND_GENERATOR):
             raise ValueError(f"unknown matrix kind {kind!r}")
         if row_bound is not None and (not isinstance(row_bound, int) or row_bound < 0):
@@ -191,7 +185,7 @@ class MatrixSource:
         self.declared_row_bound = row_bound
         self.declared_column_decay = bool(column_decay)
         self._row_fn = row_fn
-        self._block_fn = block_fn
+        self._block_fn = None  # set by the constructors that build block() directly
         self._payload = payload or {}
 
     def row(self, n: int) -> list:
@@ -212,7 +206,7 @@ class MatrixSource:
         """
         if not isinstance(n_rows, int) or isinstance(n_rows, bool) or n_rows < 0:
             raise ValueError(f"row count must be a nonnegative integer, got {n_rows!r}")
-        if self._block_fn is None:
+        if not self.floats_only:
             return _stack_rows([self.row(n) for n in range(n_rows)])
         bound = self.declared_row_bound
         m = n_rows if bound is None else min(n_rows, bound)
@@ -221,6 +215,15 @@ class MatrixSource:
             values = np.vstack([values, np.zeros((n_rows - m, values.shape[1]))])
             lengths = np.concatenate([lengths, np.zeros(n_rows - m, dtype=np.int64)])
         return values, lengths
+
+    @property
+    def floats_only(self) -> bool:
+        """True when the source is known to hold only floats, so ``block()`` skips ``row()``."""
+        return self._block_fn is not None
+
+    def _with_block(self, block_fn) -> "MatrixSource":
+        self._block_fn = block_fn
+        return self
 
     # -- constructors ---------------------------------------------------
 
@@ -245,8 +248,7 @@ class MatrixSource:
             row_bound=row_bound,
             column_decay=column_decay,
             payload={"rows": stored},
-            block_fn=_stored_block(stored) if floats else None,
-        )
+        )._with_block(_stored_block(stored) if floats else None)
 
     @classmethod
     def banded(cls, offsets, diagonals, *, row_bound=None) -> "MatrixSource":
@@ -288,8 +290,7 @@ class MatrixSource:
             row_bound=row_bound,
             column_decay=True,
             payload={"offsets": offsets, "diagonals": diags},
-            block_fn=_band_block(offsets, diags),
-        )
+        )._with_block(_band_block(offsets, diags))
 
     @classmethod
     def generator(cls, rule: str, params: dict | None = None) -> "MatrixSource":
@@ -331,8 +332,7 @@ class MatrixSource:
             row_bound=bound,
             column_decay=True,
             payload={"rule": rule, "params": params},
-            block_fn=block_fn,
-        )
+        )._with_block(block_fn)
 
     @classmethod
     def from_callable(cls, row_fn, *, row_bound=None, column_decay=True) -> "MatrixSource":
@@ -439,7 +439,8 @@ class HatMatrixWindow:
 
     Row ``n`` is ``values[n, :lengths[n]]``; the columns past it hold
     zeros.  An exact window also keeps its ``Fraction`` rows in
-    ``exact_rows``.
+    ``exact_rows``.  Windows are equal, and hash alike, when their
+    ``rows``, ``column_bound`` and ``exactness`` are equal.
     """
 
     values: np.ndarray
@@ -458,6 +459,17 @@ class HatMatrixWindow:
         if self.exact_rows is not None:
             return self.exact_rows
         return tuple(tuple(r) for r in self.as_float_rows())
+
+    def _key(self) -> tuple:
+        return self.rows, self.column_bound, self.exactness
+
+    def __eq__(self, other):
+        if not isinstance(other, HatMatrixWindow):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
     def as_float_rows(self) -> list[list[float]]:
         return [row[:n].tolist() for row, n in zip(self.values, self.lengths.tolist())]
@@ -519,17 +531,20 @@ def _triangular_product(values: np.ndarray, lengths: np.ndarray, alpha: float) -
 
     ``c`` is the coefficient prefix at ``alpha``.  Rows go in chunks;
     each chunk multiplies only the leading block ``U[:L, :L]`` its
-    longest row reaches, which keeps short rows cheap and the temporary
-    small.  That block is taken in column slabs left to right: slab
-    ``[k0, k1)`` needs only columns ``k0..L-1`` of the rows (``U`` is zero
-    above its diagonal), so it skips half the work and may overwrite
-    the columns it has consumed.
+    longest row reaches, which keeps short rows cheap.  That block is
+    taken in column slabs left to right: slab ``[k0, k1)`` needs only
+    columns ``k0..L-1`` of the rows (``U`` is zero above its diagonal),
+    so it skips half the work and may overwrite the columns it has
+    consumed.  ``U`` is Toeplitz, so every slab ``U[k0:L, k0:k1]`` is the
+    top left corner of its first slab ``U[:, :_ROW_CHUNK]``, the only
+    part ever built.
     """
     width = values.shape[1]
     if width == 0:
         return
-    padded = np.concatenate([np.zeros(width - 1), raw_prefix(alpha, width)])
-    U = np.ascontiguousarray(np.lib.stride_tricks.sliding_window_view(padded, width)[:, ::-1])
+    slab_width = min(width, _ROW_CHUNK)
+    padded = np.concatenate([np.zeros(slab_width - 1), raw_prefix(alpha, width)])
+    slab = np.ascontiguousarray(np.lib.stride_tricks.sliding_window_view(padded, slab_width)[:, ::-1])
     cols = np.arange(width)
     for start in range(0, values.shape[0], _ROW_CHUNK):
         lens = lengths[start:start + _ROW_CHUNK]
@@ -537,7 +552,7 @@ def _triangular_product(values: np.ndarray, lengths: np.ndarray, alpha: float) -
         head = values[start:start + _ROW_CHUNK, :L]
         for k0 in range(0, L, _ROW_CHUNK):
             k1 = min(k0 + _ROW_CHUNK, L)
-            head[:, k0:k1] = head[:, k0:] @ U[k0:L, k0:k1]
+            head[:, k0:k1] = head[:, k0:] @ slab[: L - k0, : k1 - k0]
         if lens.min() < L:  # past a row's end the product holds zeros of either sign
             np.copyto(head, 0.0, where=cols[:L] >= lens[:, None])
 
@@ -555,7 +570,7 @@ def hat_matrix(A: MatrixSource, order, row_count: int, column_bound: int) -> Hat
     _window_args(row_count, column_bound)
     exactness = "exact" if A.declared_column_decay else "truncated"
     clip = None if A.declared_column_decay else column_bound
-    if order.is_exact and A._block_fn is None:
+    if order.is_exact and not A.floats_only:
         stored_rows = [A.row(n)[:clip] for n in range(row_count)]
         if all(all(_is_exact_number(v) for v in r) for r in stored_rows):
             hat_rows = _exact_hat_rows(stored_rows, -order.exact)

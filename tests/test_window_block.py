@@ -125,3 +125,34 @@ def test_float_hat_matches_rowwise_convolution(source, order, n, column_bound):
         assert not window.values[k, len(row):].any()
         if single_entry:  # one product per entry: no rounding to reorder
             assert got.tolist() == ref.tolist()
+
+
+def test_float_hat_of_a_few_long_rows_stays_small():
+    import tracemalloc
+
+    shift = 30000
+    tracemalloc.start()
+    try:
+        shifted = hat_matrix(MatrixSource.generator("row-scaled-shift", {"shift": shift}), 0.5, 2, 1)
+        banded = hat_matrix(MatrixSource.banded([shift], [1.0]), 0.5, 2, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 200 * 2**20  # a full shift x shift Toeplitz matrix would take 7.2 GB
+    coeffs = np.array(raw_prefix(-0.5, shift + 2))
+    for window in (shifted, banded):
+        assert window.lengths.tolist() == [shift + 1, shift + 2]
+        for n in range(2):
+            assert window.values[n].tolist() == coeffs[n + shift :: -1].tolist() + [0.0] * (1 - n)
+
+
+def test_windows_compare_by_rows_bound_and_exactness():
+    source = MatrixSource.banded([0, 1], [0.5, -1.0])
+    window = hat_matrix(source, Fraction(1, 2), 6, 6)
+    same = hat_matrix(MatrixSource.banded([0, 1], [0.5, -1.0]), Fraction(1, 2), 6, 6)
+    assert window == same and hash(window) == hash(same)
+    assert window != hat_matrix(source, Fraction(1, 3), 6, 6)
+    assert window != hat_matrix(source, Fraction(1, 2), 6, 7)
+    exact = hat_matrix(MatrixSource.dense_window([[Fraction(1, 2)]]), Fraction(1, 2), 1, 1)
+    assert exact == hat_matrix(MatrixSource.dense_window([[Fraction(1, 2)]]), Fraction(1, 2), 1, 1)
+    assert len({window, same, exact}) == 2
