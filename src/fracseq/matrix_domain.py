@@ -27,7 +27,7 @@ import numpy as np
 from .coefficients import FractionalOrder, raw_prefix
 from .errors import CostGuardError, SourceError
 from .serialize import json_integer, json_number, json_numbers
-from .transforms import Exponent, lq_norm, _is_exact_number
+from .transforms import Exponent, lq_norm, triangular_apply, _is_exact_number
 
 KIND_DENSE = "dense-window"
 KIND_BANDED = "banded"
@@ -125,16 +125,17 @@ def _band_block(offsets, diags):
         width = int(lengths.max(initial=0))
         values = np.zeros((m, width))
         flat = values.reshape(-1)
-        for o, d in zip(offsets, arrays):
-            lo = max(0, -o)  # first row whose band entry has a nonnegative column
-            if lo >= m:
-                continue
-            band = flat[lo * (width + 1) + o :: width + 1][: m - lo]
-            if isinstance(d, float):
-                band += d
-            else:
-                seg = d[lo:m]
-                band[: len(seg)] += seg
+        with np.errstate(over="ignore", invalid="ignore"):  # a repeated offset may sum to inf or nan
+            for o, d in zip(offsets, arrays):
+                lo = max(0, -o)  # first row whose band entry has a nonnegative column
+                if lo >= m:
+                    continue
+                band = flat[lo * (width + 1) + o :: width + 1][: m - lo]
+                if isinstance(d, float):
+                    band += d
+                else:
+                    seg = d[lo:m]
+                    band[: len(seg)] += seg
         bad = _first_nonfinite(values)
         if bad is not None:
             raise _not_finite(*bad, float(values[bad]))
@@ -586,19 +587,8 @@ def hat_matrix(A: MatrixSource, order, row_count: int, column_bound: int) -> Hat
 
 
 def _exact_hat_rows(stored_rows, alpha: Fraction) -> tuple:
-    max_len = max((len(r) for r in stored_rows), default=0)
-    coeffs = raw_prefix(alpha, max_len) if max_len else []
-    hat_rows = []
-    for values in stored_rows:
-        s = len(values)
-        row = []
-        for k in range(s):
-            acc = Fraction(0)
-            for j in range(k, s):
-                acc += coeffs[j - k] * values[j]
-            row.append(acc)
-        hat_rows.append(tuple(row))
-    return tuple(hat_rows)
+    coeffs = raw_prefix(alpha, max((len(r) for r in stored_rows), default=0))
+    return tuple(tuple(triangular_apply(r, coeffs, len(r), upper=True)) for r in stored_rows)
 
 
 def _row_norms(values: np.ndarray, q: float, center: np.ndarray | None = None) -> np.ndarray:

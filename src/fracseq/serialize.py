@@ -2,13 +2,15 @@
 
 JSON emitted here is byte-stable: dict keys keep insertion order and
 floats are rendered with 17 significant digits, enough to round-trip
-any double exactly.  The stdlib ``json`` module is used for parsing;
+any double exactly.  A non-finite float raises ``ValueError``: JSON has
+no ``inf`` or ``nan``.  The stdlib ``json`` module is used for parsing;
 only the emitter is custom.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from fractions import Fraction
 
 
@@ -28,6 +30,8 @@ def _emit(obj) -> str:
     if isinstance(obj, int):
         return str(obj)
     if isinstance(obj, float):
+        if not math.isfinite(obj):
+            raise ValueError(f"JSON has no number for the non-finite value {obj!r}")
         return format_float(obj)
     if isinstance(obj, Fraction):
         return json.dumps(str(obj))
@@ -40,7 +44,10 @@ def _emit(obj) -> str:
 
 
 def json_dumps(obj) -> str:
-    """Render ``obj`` as deterministic JSON text (no trailing newline)."""
+    """Render ``obj`` as deterministic JSON text (no trailing newline).
+
+    Raises ``ValueError`` naming the value when a float is not finite.
+    """
     return _emit(obj)
 
 

@@ -13,6 +13,7 @@ floats.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -22,6 +23,7 @@ from .coefficients import FractionalOrder, raw_prefix
 from .serialize import format_float, json_numbers, parse_ratio, values_from_csv, values_to_csv
 
 ADAPTIVE_WINDOW = 16  # consecutive small increments required past the support
+_NORM_BLOCK = 256  # fewest space_norm terms computed per convolution
 
 
 def _is_exact_number(v) -> bool:
@@ -171,25 +173,44 @@ def _prefix_for(order: FractionalOrder, n: int, exact: bool, negate: bool) -> li
     return raw_prefix(alpha, n)
 
 
+def triangular_apply(values, coeffs, length: int, upper: bool = False) -> list:
+    """The first ``length`` entries of a triangular Toeplitz product.
+
+    Lower, a convolution: ``out[k] = sum_i coeffs[i] * values[k - i]``,
+    with at least ``length`` coefficients.  Upper, a correlation:
+    ``out[k] = sum_{i >= k} coeffs[i - k] * values[i]`` for
+    ``length <= len(values)``, with at least ``len(values)`` coefficients.
+
+    ``Fraction`` coefficients with int/Fraction values run exactly: both
+    are scaled to integer numerators over their common denominators, so
+    each output is one integer dot product made a ``Fraction`` once.
+    Float coefficients run one ``np.convolve``.
+    """
+    n = len(values)
+    if upper:  # the reversal of the lower product of the reversed values
+        return triangular_apply(values[::-1], coeffs, n)[::-1][:length]
+    if not (coeffs and isinstance(coeffs[0], Fraction)):
+        if n == 0:
+            return [0.0] * length
+        return np.convolve(values, coeffs)[:length].tolist()
+    dx = math.lcm(*(v.denominator for v in values))
+    dc = math.lcm(*(c.denominator for c in coeffs[:length]))
+    xs = [v.numerator * (dx // v.denominator) for v in reversed(values)]
+    cs = [c.numerator * (dc // c.denominator) for c in coeffs[:length]]
+    d = dc * dx
+    out = []
+    for k in range(length):
+        lo = max(0, k - n + 1)
+        out.append(Fraction(sum(map(operator.mul, cs[lo:k + 1], xs[n - 1 - k + lo:])), d))
+    return out
+
+
 def _convolve(seq: FiniteSequence, order: FractionalOrder, length: int, negate: bool) -> FiniteSequence:
     if not isinstance(length, int) or isinstance(length, bool) or length < 1:
         raise ValueError(f"length must be a positive integer, got {length!r}")
     exact = order.is_exact and seq.is_exact
     x = seq.entries if exact else seq.as_floats()
-    n = len(x)
-    coeffs = _prefix_for(order, length, exact, negate)
-    if not exact:
-        if n == 0:
-            return FiniteSequence([0.0] * length)
-        return FiniteSequence(np.convolve(x, coeffs)[:length].tolist())
-    out = []
-    for k in range(length):
-        acc = Fraction(0)
-        lo = max(0, k - n + 1)
-        for i in range(lo, k + 1):
-            acc += coeffs[i] * x[k - i]
-        out.append(acc)
-    return FiniteSequence(out)
+    return FiniteSequence(triangular_apply(x, _prefix_for(order, length, exact, negate), length))
 
 
 def forward_transform(x, order, length: int) -> FiniteSequence:
@@ -213,19 +234,7 @@ def beta_dual_transform(a, order) -> FiniteSequence:
     exact = order.is_exact and a.is_exact
     values = a.entries if exact else a.as_floats()
     n = len(values)
-    if n == 0:
-        return FiniteSequence(())
-    coeffs = _prefix_for(order, n, exact, negate=True)
-    if not exact:
-        # upper-triangular correlation == reversed convolution with the reverse
-        return FiniteSequence(np.convolve(values[::-1], coeffs)[:n][::-1].tolist())
-    out = []
-    for k in range(n):
-        acc = Fraction(0)
-        for i in range(k, n):
-            acc += coeffs[i - k] * values[i]
-        out.append(acc)
-    return FiniteSequence(out)
+    return FiniteSequence(triangular_apply(values, _prefix_for(order, n, exact, negate=True), n, upper=True))
 
 
 def lq_norm(values, q: float) -> float:
@@ -257,6 +266,8 @@ def space_norm(
     increment stays below ``tolerance`` for ``ADAPTIVE_WINDOW``
     consecutive indices past the support of ``x``.  If ``max_terms`` is
     reached first the result is still returned with the tail flagged.
+    Terms come from ``np.convolve`` in blocks of indices; one that is
+    not a finite float raises ``ValueError``.
     """
     order = FractionalOrder.of(order)
     p = Exponent.of(p)
@@ -265,46 +276,48 @@ def space_norm(
     if not isinstance(max_terms, int) or isinstance(max_terms, bool) or max_terms < 1:
         raise ValueError(f"max_terms must be a positive integer, got {max_terms!r}")
 
-    entries = x.as_floats()
     support = x.support_end
     if support == 0:
         return 0.0, TruncationReport(0, False, 0.0, tolerance)
 
+    entries = x.as_floats()[:support]
+    block = max(_NORM_BLOCK, support)
     alpha = order.value
     coeffs = [1.0]
     acc = 0.0  # p-th power partial sum, or running sup for p = inf
     streak = 0
     window_max = 0.0
     k = 0
-    while k < max_terms:
-        if len(coeffs) <= k:
+    while k < max_terms and streak < ADAPTIVE_WINDOW:
+        k1 = min(k + block, max_terms)
+        while len(coeffs) < k1:
             i = len(coeffs) - 1
             coeffs.append(-(coeffs[-1] * (alpha - i)) / (i + 1))
         lo = max(0, k - support + 1)
-        y = 0.0
-        for i in range(lo, k + 1):
-            y += coeffs[i] * entries[k - i]
-        if p.is_inf:
-            new = abs(y) if abs(y) > acc else acc
-            rel = 0.0 if new == 0.0 else (new - acc) / new
-            acc = new
-        else:
-            term = abs(y) ** p.p
-            acc += term
-            if acc > 0.0:
-                rel = term / acc
+        with np.errstate(over="ignore", invalid="ignore"):
+            y = np.abs(np.convolve(entries, coeffs[lo:k1])[k - lo:k1 - lo])
+            terms = y if p.is_inf else y ** p.p
+        bad = np.flatnonzero(~np.isfinite(terms))
+        if bad.size:
+            raise ValueError(f"space_norm term {k + int(bad[0])} (|y_k|^p) is not a finite float")
+        for term in terms.tolist():
+            if p.is_inf:
+                new = term if term > acc else acc
+                rel = 0.0 if new == 0.0 else (new - acc) / new
+                acc = new
             else:
-                rel = 0.0
-        k += 1
-        if k > support:  # the term just added sits past the support of x
-            if rel < tolerance:
-                window_max = rel if streak == 0 else max(window_max, rel)
-                streak += 1
-            else:
-                streak = 0
-                window_max = rel
-            if streak >= ADAPTIVE_WINDOW:
-                break
+                acc += term
+                rel = term / acc if acc > 0.0 else 0.0
+            k += 1
+            if k > support:  # the term just added sits past the support of x
+                if rel < tolerance:
+                    window_max = rel if streak == 0 else max(window_max, rel)
+                    streak += 1
+                else:
+                    streak = 0
+                    window_max = rel
+                if streak >= ADAPTIVE_WINDOW:
+                    break
     flagged = streak < ADAPTIVE_WINDOW
     value = acc if p.is_inf else acc ** (1.0 / p.p)
     return value, TruncationReport(k, flagged, window_max, tolerance)

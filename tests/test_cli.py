@@ -230,6 +230,36 @@ def test_zero_denominator_p_exits_2(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_norm_overflow_exits_2(tmp_path, capsys):
+    seq = tmp_path / "big.json"
+    write_json(seq, {"entries": [1e308, 1e308]})
+    code, out, err = invoke(capsys, "norm", "--order", "1/2", "--in", str(seq))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+def test_banded_sum_overflow_exits_2(tmp_path, capsys):
+    matrix = tmp_path / "band.json"
+    write_json(matrix, {"kind": "banded", "band": {"offsets": [0, 0], "diagonals": [1e308, 1e308]}})
+    code, _, err = invoke(capsys, "hat", "--order", "1/2", "--matrix", str(matrix),
+                          "--rows", "3", "--cols", "3")
+    assert code == 2
+    assert err == "error: row 0 entry 0 is not a finite number: inf\n"
+
+
+def test_json_output_never_carries_non_finite_floats(capsys):
+    code, out, err = invoke(capsys, "coeffs", "--order", "1e308", "--n", "4")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "inf" in err and err.count("\n") == 1
+    assert "Traceback" not in err
+    code, out, _ = invoke(capsys, "coeffs", "--order", "1e308", "--n", "4", "--format", "csv")
+    assert code == 0
+    assert out.split() == ["1", "-1e+308", "inf", "-inf"]
+
+
 def test_exit_code_3_on_cost_guard(tmp_path, capsys, monkeypatch):
     matrix = tmp_path / "ident.json"
     write_json(matrix, {"kind": "generator", "rule": "identity", "params": {}})
