@@ -33,7 +33,6 @@ from .errors import CostGuardError, DomainError, SourceError
 from .matrix_domain import (
     HatMatrixWindow,
     MatrixSource,
-    RowSubsetFamily,
     hat_matrix,
     opnorm_to_l1,
     opnorm_to_linf,
@@ -67,7 +66,6 @@ __all__ = [
     "HatMatrixWindow",
     "LimitGrid",
     "MatrixSource",
-    "RowSubsetFamily",
     "SourceError",
     "StabilizationPolicy",
     "TruncationReport",

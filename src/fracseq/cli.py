@@ -10,7 +10,6 @@ violation, 3 cost-guard refusal.  Verdicts never affect the exit code.
 from __future__ import annotations
 
 import argparse
-import math
 import random
 import sys
 
@@ -21,15 +20,8 @@ from .coefficients import (
     FractionalOrder,
     coefficient_prefix,
 )
-from .compactness import (
-    StabilizationPolicy,
-    criterion_linf_domain,
-    criterion_linf_target,
-    mnc_c,
-    mnc_c0,
-    mnc_l1,
-    sargent_criterion,
-)
+from . import compactness
+from .compactness import CRITERIA, StabilizationPolicy, mnc_c0
 from .errors import CostGuardError, SourceError
 from .matrix_domain import MatrixSource, hat_matrix, opnorm_to_l1, opnorm_to_linf
 from .serialize import format_float, json_dumps, json_loads, values_to_csv
@@ -236,67 +228,25 @@ def _cmd_opnorm_l1(args):
     return 0
 
 
-def _cmd_mnc_c0(args):
-    report = mnc_c0(
-        _load_matrix(args.matrix), _parse_order(args.order), _parse_p(args.p),
-        r_grid=_parse_grid(args.r_grid, "r-grid"), row_count=args.rows,
-        column_bound=args.cols, stabilization=_stabilization(args),
-    )
-    _emit_report(args, report)
-    return 0
-
-
-def _cmd_mnc_c(args):
-    report = mnc_c(
-        _load_matrix(args.matrix), _parse_order(args.order), _parse_p(args.p),
-        r_grid=_parse_grid(args.r_grid, "r-grid"), row_count=args.rows,
-        column_bound=args.cols, stabilization=_stabilization(args),
-    )
-    _emit_report(args, report)
-    return 0
-
-
-def _cmd_mnc_l1(args):
-    report = mnc_l1(
-        _load_matrix(args.matrix), _parse_order(args.order), _parse_p(args.p),
-        r_grid=_parse_grid(args.r_grid, "r-grid"), row_count=args.rows,
-        column_bound=args.cols, method=args.method, stabilization=_stabilization(args),
-    )
-    _emit_report(args, report)
-    return 0
-
-
-def _cmd_crit_linf(args):
-    report = criterion_linf_target(
-        _load_matrix(args.matrix), _parse_order(args.order), _parse_p(args.p),
-        r_grid=_parse_grid(args.r_grid, "r-grid"), row_count=args.rows,
-        column_bound=args.cols, stabilization=_stabilization(args),
-    )
-    _emit_report(args, report)
-    return 0
-
-
-def _cmd_sargent(args):
-    report = sargent_criterion(
-        _load_matrix(args.matrix), _parse_order(args.order),
-        m_grid=_parse_grid(args.m_grid, "m-grid"), row_count=args.rows,
-        column_window=args.cols, stabilization=_stabilization(args),
-    )
-    _emit_report(args, report)
-    return 0
-
-
-def _cmd_crit_linfdom(args):
-    report = criterion_linf_domain(
-        _load_matrix(args.matrix), _parse_order(args.order),
-        r_grid=_parse_grid(args.r_grid, "r-grid"), row_count=args.rows,
-        column_bound=args.cols, stabilization=_stabilization(args),
-    )
-    _emit_report(args, report)
+def _cmd_criterion(args):
+    spec = args.criterion
+    A = _load_matrix(args.matrix)
+    order = _parse_order(args.order)
+    kwargs = {"p": _parse_p(args.p)} if spec.takes_p else {}
+    kwargs[spec.grid] = _parse_grid(getattr(args, spec.grid), spec.grid.replace("_", "-"))
+    kwargs[spec.columns] = args.cols
+    if spec.command == "mnc-l1":
+        kwargs["method"] = args.method
+    # looked up at call time, so a rebound module attribute is what runs
+    criterion = getattr(compactness, spec.function)
+    _emit_report(args, criterion(A, order, row_count=args.rows,
+                                 stabilization=_stabilization(args), **kwargs))
     return 0
 
 
 def _cmd_verify(args):
+    if args.trials < 1:
+        raise ValueError(f"trials must be at least 1, got {args.trials}")
     order = _parse_order(args.order)
     p = _parse_p(args.p)
     rng = random.Random(args.seed)
@@ -368,6 +318,13 @@ def _cmd_verify(args):
 # -- parser ---------------------------------------------------------------
 
 
+def _add_command(subs, name, help):
+    """A subcommand parser; every subcommand takes ``--order``."""
+    sub = subs.add_parser(name, help=help)
+    sub.add_argument("--order", required=True)
+    return sub
+
+
 def _add_io(sub, *, fmt=True):
     sub.add_argument("--out", default=None, help="output path (default stdout)")
     if fmt:
@@ -392,29 +349,25 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"fracseq {__version__}")
     subs = parser.add_subparsers(dest="command", required=True)
 
-    s = subs.add_parser("coeffs", help="coefficient prefix at an order")
-    s.add_argument("--order", required=True)
+    s = _add_command(subs, "coeffs", help="coefficient prefix at an order")
     s.add_argument("--n", type=int, required=True)
     s.add_argument("--mode", default="floating")
     _add_io(s)
     s.set_defaults(handler=_cmd_coeffs)
 
     for name, inverse in (("transform", False), ("inverse", True)):
-        s = subs.add_parser(name, help=f"{'inverse ' if inverse else ''}difference transform")
-        s.add_argument("--order", required=True)
+        s = _add_command(subs, name, help=f"{'inverse ' if inverse else ''}difference transform")
         s.add_argument("--in", dest="infile", required=True)
         s.add_argument("--length", type=int, default=None)
         _add_io(s)
         s.set_defaults(handler=lambda a, inv=inverse: _cmd_transform(a, inv))
 
-    s = subs.add_parser("betadual", help="dual transform of a finitely supported sequence")
-    s.add_argument("--order", required=True)
+    s = _add_command(subs, "betadual", help="dual transform of a finitely supported sequence")
     s.add_argument("--in", dest="infile", required=True)
     _add_io(s)
     s.set_defaults(handler=_cmd_betadual)
 
-    s = subs.add_parser("norm", help="transformed-space norm with adaptive truncation")
-    s.add_argument("--order", required=True)
+    s = _add_command(subs, "norm", help="transformed-space norm with adaptive truncation")
     s.add_argument("--p", default="2")
     s.add_argument("--in", dest="infile", required=True)
     s.add_argument("--tol", type=float, default=1e-10)
@@ -422,30 +375,26 @@ def build_parser() -> argparse.ArgumentParser:
     _add_io(s)
     s.set_defaults(handler=_cmd_norm)
 
-    s = subs.add_parser("dualnorm", help="dual-space norm")
-    s.add_argument("--order", required=True)
+    s = _add_command(subs, "dualnorm", help="dual-space norm")
     s.add_argument("--p", default="2")
     s.add_argument("--in", dest="infile", required=True)
     _add_io(s)
     s.set_defaults(handler=_cmd_dualnorm)
 
-    s = subs.add_parser("hat", help="transformed matrix window")
-    s.add_argument("--order", required=True)
+    s = _add_command(subs, "hat", help="transformed matrix window")
     s.add_argument("--matrix", required=True)
     _add_window(s)
     _add_io(s, fmt=False)
     s.set_defaults(handler=_cmd_hat)
 
-    s = subs.add_parser("opnorm-linf", help="operator norm toward bounded targets")
-    s.add_argument("--order", required=True)
+    s = _add_command(subs, "opnorm-linf", help="operator norm toward bounded targets")
     s.add_argument("--p", default="2")
     s.add_argument("--matrix", required=True)
     _add_window(s)
     _add_io(s, fmt=False)
     s.set_defaults(handler=_cmd_opnorm_linf)
 
-    s = subs.add_parser("opnorm-l1", help="operator norm toward the summable target")
-    s.add_argument("--order", required=True)
+    s = _add_command(subs, "opnorm-l1", help="operator norm toward the summable target")
     s.add_argument("--p", default="2")
     s.add_argument("--matrix", required=True)
     s.add_argument("--method", choices=("exhaustive", "greedy"), default="exhaustive")
@@ -453,33 +402,21 @@ def build_parser() -> argparse.ArgumentParser:
     _add_io(s, fmt=False)
     s.set_defaults(handler=_cmd_opnorm_l1)
 
-    grid_cmds = (
-        ("mnc-c0", _cmd_mnc_c0, True, "r"),
-        ("mnc-c", _cmd_mnc_c, True, "r"),
-        ("mnc-l1", _cmd_mnc_l1, True, "r"),
-        ("crit-linf", _cmd_crit_linf, True, "r"),
-        ("sargent", _cmd_sargent, False, "m"),
-        ("crit-linfdom", _cmd_crit_linfdom, False, "r"),
-    )
-    for name, handler, takes_p, grid_kind in grid_cmds:
-        s = subs.add_parser(name, help=f"{name} compactness report")
-        s.add_argument("--order", required=True)
-        if takes_p:
+    for spec in CRITERIA:
+        s = _add_command(subs, spec.command, help=f"{spec.command} compactness report")
+        if spec.takes_p:
             s.add_argument("--p", default="2")
         s.add_argument("--matrix", required=True)
-        if grid_kind == "r":
-            s.add_argument("--r-grid", required=True, help="start:stop:step (half-open)")
-        else:
-            s.add_argument("--m-grid", required=True, help="start:stop:step (half-open)")
-        if name == "mnc-l1":
+        s.add_argument("--" + spec.grid.replace("_", "-"), required=True,
+                       help="start:stop:step (half-open)")
+        if spec.command == "mnc-l1":
             s.add_argument("--method", choices=("exhaustive", "greedy"), default="exhaustive")
         _add_window(s)
         _add_stab(s)
         _add_io(s)
-        s.set_defaults(handler=handler)
+        s.set_defaults(handler=_cmd_criterion, criterion=spec)
 
-    s = subs.add_parser("verify", help="cross-module consistency checks")
-    s.add_argument("--order", required=True)
+    s = _add_command(subs, "verify", help="cross-module consistency checks")
     s.add_argument("--p", default="2")
     s.add_argument("--matrix", default=None)
     s.add_argument("--trials", type=int, default=25)
@@ -491,9 +428,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _join_negative_orders(argv) -> list:
+    """``--order -1/2`` -> ``--order=-1/2``: argparse reads only ``-<digits>[.<digits>]``
+    as a negative number and would take any other value starting with ``-`` for an option."""
+    out = []
+    for arg in argv:
+        if out and out[-1] == "--order" and len(arg) > 1 and arg[0] == "-" and arg[1] in "0123456789.":
+            out[-1] = f"--order={arg}"
+        else:
+            out.append(arg)
+    return out
+
+
 def run(argv) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_join_negative_orders(argv))
     try:
         return args.handler(args)
     except CostGuardError as exc:

@@ -85,11 +85,6 @@ class FractionalOrder:
         return self.exact is not None
 
     @property
-    def forward_gamma_defined(self) -> bool:
-        """Whether gamma(value + 1) is defined.  True after construction."""
-        return True
-
-    @property
     def inverse_gamma_defined(self) -> bool:
         """Whether gamma(-value + 1) is defined (false for positive integers)."""
         if self.exact is not None:
@@ -99,10 +94,6 @@ class FractionalOrder:
     def raw(self):
         """The exact Fraction when available, else the float value."""
         return self.exact if self.exact is not None else self.value
-
-    def negated_raw(self):
-        """The negated order as a raw number, bypassing pole validation."""
-        return -self.exact if self.exact is not None else -self.value
 
     def label(self) -> str:
         if self.exact is not None:

@@ -19,9 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coefficients import FractionalOrder
-from .errors import CostGuardError
 from .matrix_domain import (
-    SUBSET_GUARD_ENV,
     HatMatrixWindow,
     MatrixSource,
     _columns,
@@ -29,7 +27,6 @@ from .matrix_domain import (
     _greedy_subset,
     _row_norms,
     hat_matrix,
-    subset_guard_limit,
 )
 from .serialize import format_float
 from .transforms import Exponent
@@ -37,8 +34,6 @@ from .transforms import Exponent
 VERDICT_COMPACT = "compact"
 VERDICT_NONCOMPACT = "noncompact"
 VERDICT_INCONCLUSIVE = "inconclusive"
-
-_WINDOW_NOTE = "finite-window evidence only"
 
 
 @dataclass(frozen=True)
@@ -53,6 +48,8 @@ class StabilizationPolicy:
             raise ValueError(f"stabilization window must be an integer >= 2, got {self.window!r}")
         if not (self.tolerance > 0.0):
             raise ValueError(f"stabilization tolerance must be positive, got {self.tolerance!r}")
+        if self.tolerance == math.inf:
+            raise ValueError(f"stabilization tolerance must be finite, got {self.tolerance!r}")
 
 
 @dataclass(frozen=True)
@@ -181,6 +178,33 @@ def _suffix_max(values) -> np.ndarray:
     return np.maximum.accumulate(np.asarray(values, dtype=float)[::-1])[::-1]
 
 
+def _window(A: MatrixSource, order, p, grid, row_count, column_bound, *,
+            grid_name="r_grid", upper_exclusive=None) -> tuple[float, list[int], HatMatrixWindow]:
+    """The shared head of every criterion: conjugate index, checked grid, hat window."""
+    order = FractionalOrder.of(order)
+    q = Exponent.of(p).q
+    grid = _check_grid(grid_name, grid, upper_exclusive=upper_exclusive)
+    return q, grid, hat_matrix(A, order, row_count, column_bound)
+
+
+def _report(criterion_id: str, grid, values, stabilization: StabilizationPolicy, notes: str,
+            lower: float = 1.0, upper: float = 1.0, unconverged=()) -> CompactnessReport:
+    """The shared tail: limit grid, bounds ``lower``/``upper`` times its estimate, verdict.
+
+    Unconverged column limits (``unconverged`` lists their indices)
+    force an inconclusive verdict but leave the value grid intact.
+    """
+    limit = LimitGrid(tuple(grid), tuple(values), stabilization.window, stabilization.tolerance)
+    est = limit.estimate
+    lower, upper = lower * est, upper * est
+    verdict = _verdict(limit, lower, upper)
+    notes += "; finite-window evidence only"
+    if unconverged:
+        verdict = VERDICT_INCONCLUSIVE
+        notes += f"; column limits unconverged at k={list(unconverged)}"
+    return CompactnessReport(criterion_id, limit, lower, upper, verdict, notes)
+
+
 def mnc_c0(A: MatrixSource, order, p, *, r_grid, row_count, column_bound,
            stabilization: StabilizationPolicy = StabilizationPolicy()) -> CompactnessReport:
     """Noncompactness estimator toward the null-sequence target.
@@ -190,18 +214,11 @@ def mnc_c0(A: MatrixSource, order, p, *, r_grid, row_count, column_bound,
     and upper coincide.  ``p = 1`` switches the row norm to a sup over
     columns.
     """
-    order = FractionalOrder.of(order)
-    q = Exponent.of(p).q
-    grid = _check_grid("r_grid", r_grid, upper_exclusive=row_count)
-    window = hat_matrix(A, order, row_count, column_bound)
+    q, grid, window = _window(A, order, p, r_grid, row_count, column_bound,
+                              upper_exclusive=row_count)
     values = _suffix_max(_row_norms(window.values, q))[grid].tolist()
-    limit = LimitGrid(tuple(grid), tuple(values), stabilization.window, stabilization.tolerance)
-    est = limit.estimate
-    notes = (
-        f"sup of row norms (q={format_float(q)}) over rows [r, {row_count}); "
-        f"{_WINDOW_NOTE}"
-    )
-    return CompactnessReport("MNC-C0", limit, est, est, _verdict(limit, est, est), notes)
+    notes = f"sup of row norms (q={format_float(q)}) over rows [r, {row_count})"
+    return _report("MNC-C0", grid, values, stabilization, notes)
 
 
 def estimate_alpha_hat(A: MatrixSource, order, *, row_count, column_bound,
@@ -237,26 +254,17 @@ def mnc_c(A: MatrixSource, order, p, *, r_grid, row_count, column_bound,
     Unconverged columns force an inconclusive verdict but leave the
     value grid intact.
     """
-    order = FractionalOrder.of(order)
-    q = Exponent.of(p).q
-    grid = _check_grid("r_grid", r_grid, upper_exclusive=row_count)
-    window = hat_matrix(A, order, row_count, column_bound)
+    q, grid, window = _window(A, order, p, r_grid, row_count, column_bound,
+                              upper_exclusive=row_count)
     alpha = _alpha_hat(window, column_bound, stabilization)
-    alpha_vec = np.array([a.estimate for a in alpha])
-    bad = [a.k for a in alpha if not a.converged]
-    values = _suffix_max(_row_norms(window.values, q, center=alpha_vec))[grid].tolist()
-    limit = LimitGrid(tuple(grid), tuple(values), stabilization.window, stabilization.tolerance)
-    est = limit.estimate
-    lower, upper = est / 2.0, est
-    verdict = _verdict(limit, lower, upper)
+    center = np.array([a.estimate for a in alpha])
+    values = _suffix_max(_row_norms(window.values, q, center=center))[grid].tolist()
     notes = (
         f"sup of row-minus-column-limit norms (q={format_float(q)}) over rows [r, {row_count}); "
-        f"column limits on [0, {column_bound}), assumed zero beyond; {_WINDOW_NOTE}"
+        f"column limits on [0, {column_bound}), assumed zero beyond"
     )
-    if bad:
-        verdict = VERDICT_INCONCLUSIVE
-        notes += f"; column limits unconverged at k={bad}"
-    return CompactnessReport("MNC-C", limit, lower, upper, verdict, notes)
+    return _report("MNC-C", grid, values, stabilization, notes, lower=0.5,
+                   unconverged=[a.k for a in alpha if not a.converged])
 
 
 def mnc_l1(A: MatrixSource, order, p, *, r_grid, row_count, column_bound,
@@ -270,19 +278,11 @@ def mnc_l1(A: MatrixSource, order, p, *, r_grid, row_count, column_bound,
     four times it.  ``greedy`` replaces the exhaustive supremum by a
     monotone lower bound.
     """
-    order = FractionalOrder.of(order)
-    q = Exponent.of(p).q
-    grid = _check_grid("r_grid", r_grid, upper_exclusive=row_count - 1)
-    window = hat_matrix(A, order, row_count, column_bound)
+    q, grid, window = _window(A, order, p, r_grid, row_count, column_bound,
+                              upper_exclusive=row_count - 1)
     pool = window.values[1:]  # subset members always exceed r >= 0
     pool_size = row_count - 1
     if method == "exhaustive":
-        limit_rows = subset_guard_limit()
-        if pool_size > limit_rows:
-            raise CostGuardError(
-                f"exhaustive subset enumeration over {pool_size} rows exceeds the "
-                f"limit of {limit_rows} (override via {SUBSET_GUARD_ENV})"
-            )
         _, _, by_min = _enumerate_subsets(pool, q, want_by_min=True)
         suffix = _suffix_max(by_min).tolist()  # by_min[j] covers original row j+1
         values = [suffix[r] if r < pool_size else 0.0 for r in grid]
@@ -291,28 +291,22 @@ def mnc_l1(A: MatrixSource, order, p, *, r_grid, row_count, column_bound,
         values = _suffix_max(raw).tolist()  # a certificate found at larger r is valid at smaller r
     else:
         raise ValueError(f'method must be "exhaustive" or "greedy", got {method!r}')
-    limit = LimitGrid(tuple(grid), tuple(values), stabilization.window, stabilization.tolerance)
-    est = limit.estimate
-    lower, upper = est, 4.0 * est
     notes = (
         f"sup over nonempty subsets of rows (r, {row_count}) of the summed-row norm "
-        f"(q={format_float(q)}, method={method}); {_WINDOW_NOTE}"
+        f"(q={format_float(q)}, method={method})"
     )
-    return CompactnessReport("MNC-L1", limit, lower, upper, _verdict(limit, lower, upper), notes)
+    return _report("MNC-L1", grid, values, stabilization, notes, upper=4.0)
 
 
-def _column_tail_report(A, order, q, criterion_id, *, r_grid, row_count, column_bound,
+def _column_tail_report(criterion_id, A, order, p, *, r_grid, row_count, column_bound,
                         stabilization) -> CompactnessReport:
-    grid = _check_grid("r_grid", r_grid)
-    window = hat_matrix(A, order, row_count, column_bound)
+    q, grid, window = _window(A, order, p, r_grid, row_count, column_bound)
     values = [float(_row_norms(window.values[:, r + 1:], q).max(initial=0.0)) for r in grid]
-    limit = LimitGrid(tuple(grid), tuple(values), stabilization.window, stabilization.tolerance)
-    est = limit.estimate
     notes = (
         f"sup over rows [0, {row_count}) of the column-tail norm beyond index r "
-        f"(q={format_float(q)}); {_WINDOW_NOTE}"
+        f"(q={format_float(q)})"
     )
-    return CompactnessReport(criterion_id, limit, est, est, _verdict(limit, est, est), notes)
+    return _report(criterion_id, grid, values, stabilization, notes)
 
 
 def criterion_linf_target(A: MatrixSource, order, p, *, r_grid, row_count, column_bound,
@@ -325,15 +319,16 @@ def criterion_linf_target(A: MatrixSource, order, p, *, r_grid, row_count, colum
     p = Exponent.of(p)
     if p.p <= 1.0 or p.is_inf:
         raise ValueError(f"p must satisfy 1 < p < inf, got {p.label()}")
-    return _column_tail_report(A, order, p.q, "T3", r_grid=r_grid, row_count=row_count,
+    return _column_tail_report("T3", A, order, p, r_grid=r_grid, row_count=row_count,
                                column_bound=column_bound, stabilization=stabilization)
 
 
 def criterion_linf_domain(A: MatrixSource, order, *, r_grid, row_count, column_bound,
                           stabilization: StabilizationPolicy = StabilizationPolicy()) -> CompactnessReport:
     """Bounded-domain, bounded-target criterion: absolute column tails vanish."""
-    return _column_tail_report(A, order, 1.0, "LINF-DOMAIN", r_grid=r_grid, row_count=row_count,
-                               column_bound=column_bound, stabilization=stabilization)
+    return _column_tail_report("LINF-DOMAIN", A, order, math.inf, r_grid=r_grid,
+                               row_count=row_count, column_bound=column_bound,
+                               stabilization=stabilization)
 
 
 def sargent_criterion(A: MatrixSource, order, *, m_grid, row_count, column_window,
@@ -346,11 +341,11 @@ def sargent_criterion(A: MatrixSource, order, *, m_grid, row_count, column_windo
     pairs from ``[0, column_window)``.  The defect is nonnegative and
     nonincreasing in ``m``.
     """
-    order = FractionalOrder.of(order)
-    grid = _check_grid("m_grid", m_grid, upper_exclusive=row_count)
     if not isinstance(column_window, int) or column_window < 2:
         raise ValueError(f"column_window must be an integer >= 2, got {column_window!r}")
-    C = _columns(hat_matrix(A, order, row_count, column_window).values, column_window)
+    _, grid, window = _window(A, order, 1, m_grid, row_count, column_window,
+                              grid_name="m_grid", upper_exclusive=row_count)
+    C = _columns(window.values, column_window)
     defects = np.zeros(len(grid))
     for k1 in range(column_window - 1):
         diffs = np.abs(C[:, k1 + 1:] - C[:, k1: k1 + 1])
@@ -360,17 +355,43 @@ def sargent_criterion(A: MatrixSource, order, *, m_grid, row_count, column_windo
             gap = (full - running[m]).max()
             if gap > defects[gi]:
                 defects[gi] = gap
-    values = [float(v) for v in defects]
-    limit = LimitGrid(tuple(grid), tuple(values), stabilization.window, stabilization.tolerance)
-    est = limit.estimate
     notes = (
         f"uniformity defect of column-pair sups, pairs from [0, {column_window}), "
-        f"truncated sup over rows [0, m]; {_WINDOW_NOTE}"
+        f"truncated sup over rows [0, m]"
     )
-    return CompactnessReport("T7", limit, est, est, _verdict(limit, est, est), notes)
+    return _report("T7", grid, defects.tolist(), stabilization, notes)
 
 
-_TABLE_ITEMS = {1, 2, 3, 4, 5, 6, 7}
+@dataclass(frozen=True)
+class Criterion:
+    """One grid criterion: its CLI subcommand and how its function is called."""
+
+    command: str  # CLI subcommand
+    function: str  # name of the criterion function in this module
+    grid: str  # keyword of its grid argument
+    columns: str  # keyword of its column-window argument
+    takes_p: bool  # whether it takes the domain index p
+
+
+CRITERIA = (
+    Criterion("mnc-c0", "mnc_c0", "r_grid", "column_bound", True),
+    Criterion("mnc-c", "mnc_c", "r_grid", "column_bound", True),
+    Criterion("mnc-l1", "mnc_l1", "r_grid", "column_bound", True),
+    Criterion("crit-linf", "criterion_linf_target", "r_grid", "column_bound", True),
+    Criterion("sargent", "sargent_criterion", "m_grid", "column_window", False),
+    Criterion("crit-linfdom", "criterion_linf_domain", "r_grid", "column_bound", False),
+)
+
+# table item -> (criterion function, p fixed by the item or None for the caller's 1 < p < inf)
+_TABLE = {
+    1: ("mnc_c0", None),
+    2: ("mnc_c", None),
+    3: ("criterion_linf_target", None),
+    4: ("mnc_l1", None),
+    5: ("mnc_c0", 1),
+    6: ("mnc_c", 1),
+    7: ("sargent_criterion", None),
+}
 
 
 def table_criterion(item: int, A: MatrixSource, order, *, p=None, r_grid=None, m_grid=None,
@@ -382,39 +403,24 @@ def table_criterion(item: int, A: MatrixSource, order, *, p=None, r_grid=None, m
     5-7 fix the summable domain.  The report is relabeled with the
     table identifier.
     """
-    if item not in _TABLE_ITEMS:
-        raise ValueError(f"table item must be in {sorted(_TABLE_ITEMS)}, got {item!r}")
-    if item in (1, 2, 3, 4):
+    if item not in _TABLE:
+        raise ValueError(f"table item must be in {sorted(_TABLE)}, got {item!r}")
+    name, fixed_p = _TABLE[item]
+    spec = next(c for c in CRITERIA if c.function == name)
+    if spec.takes_p and fixed_p is None:
         if p is None:
             raise ValueError(f"table item {item} requires p")
         pe = Exponent.of(p)
         if pe.p <= 1.0 or pe.is_inf:
             raise ValueError(f"table item {item} requires 1 < p < inf, got {pe.label()}")
-    if item == 7:
-        if m_grid is None:
-            raise ValueError("table item 7 requires m_grid")
-    elif r_grid is None:
-        raise ValueError(f"table item {item} requires r_grid")
-
-    if item == 1:
-        report = mnc_c0(A, order, p, r_grid=r_grid, row_count=row_count,
-                        column_bound=column_bound, stabilization=stabilization)
-    elif item == 2:
-        report = mnc_c(A, order, p, r_grid=r_grid, row_count=row_count,
-                       column_bound=column_bound, stabilization=stabilization)
-    elif item == 3:
-        report = criterion_linf_target(A, order, p, r_grid=r_grid, row_count=row_count,
-                                       column_bound=column_bound, stabilization=stabilization)
-    elif item == 4:
-        report = mnc_l1(A, order, p, r_grid=r_grid, row_count=row_count,
-                        column_bound=column_bound, method=method, stabilization=stabilization)
-    elif item == 5:
-        report = mnc_c0(A, order, 1, r_grid=r_grid, row_count=row_count,
-                        column_bound=column_bound, stabilization=stabilization)
-    elif item == 6:
-        report = mnc_c(A, order, 1, r_grid=r_grid, row_count=row_count,
-                       column_bound=column_bound, stabilization=stabilization)
-    else:
-        return sargent_criterion(A, order, m_grid=m_grid, row_count=row_count,
-                                 column_window=column_bound, stabilization=stabilization)
+    grid = r_grid if spec.grid == "r_grid" else m_grid
+    if grid is None:
+        raise ValueError(f"table item {item} requires {spec.grid}")
+    kwargs = {spec.grid: grid, spec.columns: column_bound}
+    if spec.takes_p:
+        kwargs["p"] = p if fixed_p is None else fixed_p
+    if name == "mnc_l1":
+        kwargs["method"] = method
+    # looked up at call time, so a rebound module attribute is what runs
+    report = globals()[name](A, order, row_count=row_count, stabilization=stabilization, **kwargs)
     return dataclasses.replace(report, criterion_id=f"T{item}")

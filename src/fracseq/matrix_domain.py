@@ -40,6 +40,7 @@ SUBSET_GUARD_ENV = "FRACSEQ_MAX_SUBSET_ROWS"
 
 _CHUNK = 1 << 14
 _ROW_CHUNK = 256  # rows (and columns) per step of the hat product and row reductions
+_SCRATCH_BYTES = 1 << 21  # row-norm scratch: numpy asks for huge pages from 4 MiB, which can stay resident
 
 
 def subset_guard_limit() -> int:
@@ -496,31 +497,6 @@ def _columns(values: np.ndarray, width: int) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class RowSubsetFamily:
-    """Nonempty subsets of ``{r+1, ..., m}``."""
-
-    r: int
-    m: int
-
-    def __post_init__(self):
-        if self.r < 0 or self.m < 0:
-            raise ValueError("subset family bounds must be nonnegative")
-
-    @property
-    def members(self) -> range:
-        return range(self.r + 1, self.m + 1)
-
-    @property
-    def count(self) -> int:
-        return max(0, 2 ** len(self.members) - 1)
-
-    def subsets(self):
-        members = list(self.members)
-        for size in range(1, len(members) + 1):
-            yield from itertools.combinations(members, size)
-
-
 def _window_args(row_count, column_bound):
     for name, v in (("row_count", row_count), ("column_bound", column_bound)):
         if not isinstance(v, int) or isinstance(v, bool) or v < 1:
@@ -601,15 +577,16 @@ def _row_norms(values: np.ndarray, q: float, center: np.ndarray | None = None) -
     if center is not None:
         width = max(width, len(center))
     out = np.empty(n)
-    buf = np.empty((min(n, _ROW_CHUNK), width))
-    for start in range(0, n, _ROW_CHUNK):
-        chunk = values[start:start + _ROW_CHUNK]
+    step = max(1, min(_ROW_CHUNK, _SCRATCH_BYTES // (8 * max(width, 1))))
+    buf = np.empty((min(n, step), width))
+    for start in range(0, n, step):
+        chunk = values[start:start + step]
         work = buf[: len(chunk)]
         work[:, : chunk.shape[1]] = chunk
         if center is not None:
             work[:, chunk.shape[1]:] = 0.0
             work[:, : len(center)] -= center
-        out[start:start + _ROW_CHUNK] = _chunk_norms(work, q)
+        out[start:start + step] = _chunk_norms(work, q)
     return out
 
 
@@ -651,9 +628,16 @@ def _enumerate_subsets(rows: np.ndarray, q: float, want_by_min: bool):
     Returns ``(best_value, best_certificate, by_min)`` where
     ``by_min[v]`` is the best value among subsets whose smallest element
     is ``v`` (zeros when ``want_by_min`` is false).  The certificate is
-    the lexicographically smallest maximizer.
+    the lexicographically smallest maximizer.  Raises ``CostGuardError``
+    above :func:`subset_guard_limit` rows.
     """
     m = rows.shape[0]
+    limit = subset_guard_limit()
+    if m > limit:
+        raise CostGuardError(
+            f"exhaustive subset enumeration over {m} rows exceeds the "
+            f"limit of {limit} (override via {SUBSET_GUARD_ENV})"
+        )
     total = 1 << m
     col_ids = np.arange(m, dtype=np.int64)
     best_val = -1.0
@@ -717,12 +701,6 @@ def opnorm_to_l1(
     window = hat_matrix(A, order, row_count, column_bound)
     rows = window.values
     if method == "exhaustive":
-        limit = subset_guard_limit()
-        if row_count > limit:
-            raise CostGuardError(
-                f"exhaustive subset enumeration over {row_count} rows exceeds the "
-                f"limit of {limit} (override via {SUBSET_GUARD_ENV})"
-            )
         _, cert, _ = _enumerate_subsets(rows, q, want_by_min=False)
         value = lq_norm(rows[list(cert)].sum(axis=0).tolist(), q)
         return value, cert

@@ -2,8 +2,9 @@ import json
 
 import pytest
 
+from fracseq import MatrixSource, StabilizationPolicy, compactness
 from fracseq.cli import run
-from fracseq.serialize import json_dumps
+from fracseq.serialize import format_float, json_dumps
 
 
 def invoke(capsys, *argv):
@@ -321,3 +322,71 @@ def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         run(["--version"])
     assert exc.value.code == 0
+
+
+def test_negative_ratio_order_as_separate_argument(tmp_path, capsys):
+    seq = tmp_path / "x.json"
+    write_json(seq, {"entries": [0.1, -0.7, 0.3]})
+    matrix = tmp_path / "m.json"
+    write_json(matrix, {"kind": "generator", "rule": "diagonal", "params": {"ratio": 0.5}})
+    for argv in (["transform", "--in", str(seq)],
+                 ["coeffs", "--n", "6", "--mode", "exact"],
+                 ["mnc-c0", "--matrix", str(matrix), "--r-grid", "0:8:2",
+                  "--rows", "10", "--cols", "8"]):
+        code, out, err = invoke(capsys, argv[0], "--order", "-1/2", *argv[1:])
+        assert (code, err) == (0, "")
+        assert (code, out, err) == invoke(capsys, argv[0], "--order=-1/2", *argv[1:])
+
+
+def test_infinite_stabilization_tolerance_exits_2(tmp_path, capsys):
+    matrix = tmp_path / "m.json"
+    write_json(matrix, {"kind": "generator", "rule": "diagonal", "params": {"ratio": 1.0}})
+    argv = ["mnc-c0", "--order", "1/2", "--matrix", str(matrix), "--r-grid", "0:8:2",
+            "--rows", "16", "--cols", "8", "--format", "table"]
+    code, out, _ = invoke(capsys, *argv)
+    assert code == 0 and "verdict     noncompact" in out
+    code, out, err = invoke(capsys, *argv, "--stab-tol", "inf")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("trials", ["0", "-3"])
+def test_verify_needs_a_trial(capsys, trials):
+    code, out, err = invoke(capsys, "verify", "--order", "1/2", "--trials", trials)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "trials" in err and err.count("\n") == 1
+
+
+def _rendered(report, fmt):
+    if fmt == "json":
+        return json_dumps(report.to_json_dict()) + "\n"
+    if fmt == "table":
+        return report.render_table()
+    return "".join(f"{r},{format_float(v)}\n"
+                   for r, v in zip(report.grid.r_values, report.grid.values))
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", "table"])
+@pytest.mark.parametrize("spec", compactness.CRITERIA, ids=lambda c: c.command)
+def test_grid_subcommands_print_the_library_report(tmp_path, capsys, spec, fmt):
+    payload = {"kind": "banded", "band": {"offsets": [-1, 0, 1], "diagonals": [0.5, 1.0, -0.25]}}
+    matrix = tmp_path / "band.json"
+    write_json(matrix, payload)
+    argv = [spec.command, "--order", "2/3", "--matrix", str(matrix),
+            "--" + spec.grid.replace("_", "-"), "1:10:2", "--rows", "12", "--cols", "9",
+            "--stab-window", "3", "--stab-tol", "1e-6", "--format", fmt]
+    kwargs = {spec.grid: range(1, 10, 2), spec.columns: 9}
+    if spec.takes_p:
+        argv += ["--p", "3/2"]
+        kwargs["p"] = "3/2"
+    if spec.command == "mnc-l1":
+        argv += ["--method", "greedy"]
+        kwargs["method"] = "greedy"
+    report = getattr(compactness, spec.function)(
+        MatrixSource.from_json_dict(payload), "2/3", row_count=12,
+        stabilization=StabilizationPolicy(window=3, tolerance=1e-6), **kwargs)
+    code, out, err = invoke(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert out == _rendered(report, fmt)

@@ -145,13 +145,11 @@ def test_negative_integer_orders_rejected():
 def test_order_flags_and_labels():
     order = FractionalOrder("1/2")
     assert order.is_exact and order.exact == HALF
-    assert order.forward_gamma_defined
     assert order.inverse_gamma_defined
     assert order.label() == "1/2"
 
     two = FractionalOrder(2)
     assert not two.inverse_gamma_defined
-    assert two.negated_raw() == Fraction(-2)
 
     plain = FractionalOrder(0.3)
     assert not plain.is_exact

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -376,6 +377,8 @@ def test_limit_grid_and_policy_validation():
         StabilizationPolicy(window=1)
     with pytest.raises(ValueError):
         StabilizationPolicy(tolerance=0.0)
+    with pytest.raises(ValueError):
+        StabilizationPolicy(tolerance=math.inf)  # would stabilize every grid
     grid = LimitGrid((0, 1, 2), (1.0, 1.0, 1.0), 4, 1e-8)
     assert not grid.stabilized  # shorter than the stabilization window
 
@@ -418,3 +421,26 @@ def test_table_criterion_dispatch_and_validation():
         table_criterion(1, A, HALF, p=1, r_grid=[0, 1], row_count=16, column_bound=8)
     with pytest.raises(ValueError):
         table_criterion(7, A, HALF, row_count=16, column_bound=8)
+
+
+def test_table_items_equal_their_criterion_reports():
+    A = MatrixSource.banded([-1, 0, 1], [0.5, 1.0, -0.25])
+    window = dict(row_count=12, column_bound=10,
+                  stabilization=StabilizationPolicy(window=3, tolerance=1e-6))
+    grid = range(0, 10, 2)
+    p = Fraction(3, 2)
+    expected = {
+        1: mnc_c0(A, HALF, p, r_grid=grid, **window),
+        2: mnc_c(A, HALF, p, r_grid=grid, **window),
+        3: criterion_linf_target(A, HALF, p, r_grid=grid, **window),
+        4: mnc_l1(A, HALF, p, r_grid=grid, method="greedy", **window),
+        5: mnc_c0(A, HALF, 1, r_grid=grid, **window),
+        6: mnc_c(A, HALF, 1, r_grid=grid, **window),
+        7: sargent_criterion(A, HALF, m_grid=grid, row_count=12, column_window=10,
+                             stabilization=window["stabilization"]),
+    }
+    for item, report in expected.items():
+        table = table_criterion(item, A, HALF, p=p, r_grid=grid, m_grid=grid,
+                                method="greedy", **window)
+        assert table.criterion_id == f"T{item}"
+        assert dataclasses.replace(table, criterion_id=report.criterion_id) == report

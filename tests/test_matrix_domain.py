@@ -8,7 +8,6 @@ from fracseq import (
     CostGuardError,
     FiniteSequence,
     MatrixSource,
-    RowSubsetFamily,
     SourceError,
     forward_transform,
     hat_matrix,
@@ -285,14 +284,3 @@ def test_opnorm_l1_method_validation():
     A = MatrixSource.generator("identity")
     with pytest.raises(ValueError):
         opnorm_to_l1(A, 0, 2, 2, 2, method="annealing")
-
-
-def test_row_subset_family():
-    fam = RowSubsetFamily(1, 4)
-    assert list(fam.members) == [2, 3, 4]
-    assert fam.count == 7
-    subsets = list(fam.subsets())
-    assert len(subsets) == 7
-    assert (2,) in subsets and (2, 3, 4) in subsets
-    with pytest.raises(ValueError):
-        RowSubsetFamily(-1, 3)

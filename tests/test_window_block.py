@@ -12,6 +12,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from fracseq import MatrixSource, SourceError, hat_matrix
 from fracseq.coefficients import raw_prefix
+from fracseq.matrix_domain import _row_norms
 
 # zero, or a magnitude in [1e-3, 1e3]: products stay normal and finite
 values = st.one_of(st.just(0.0), st.floats(1e-3, 1e3), st.floats(-1e3, -1e-3))
@@ -156,3 +157,13 @@ def test_windows_compare_by_rows_bound_and_exactness():
     exact = hat_matrix(MatrixSource.dense_window([[Fraction(1, 2)]]), Fraction(1, 2), 1, 1)
     assert exact == hat_matrix(MatrixSource.dense_window([[Fraction(1, 2)]]), Fraction(1, 2), 1, 1)
     assert len({window, same, exact}) == 2
+
+
+def test_wide_row_norms_equal_rowwise_norms():
+    # past 1024 columns the row-norm scratch holds fewer than 256 rows
+    rng = np.random.default_rng(5)
+    values = rng.standard_normal((300, 3000))
+    for center in (None, rng.standard_normal(3100)):
+        for q in (1.0, 1.5, float("inf")):
+            rowwise = [_row_norms(values[i:i + 1], q, center)[0] for i in range(len(values))]
+            assert _row_norms(values, q, center).tolist() == rowwise
