@@ -13,6 +13,8 @@ import argparse
 import random
 import sys
 
+import numpy as np
+
 from . import __version__
 from .coefficients import (
     MODE_EXACT,
@@ -429,12 +431,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _join_negative_orders(argv) -> list:
-    """``--order -1/2`` -> ``--order=-1/2``: argparse reads only ``-<digits>[.<digits>]``
-    as a negative number and would take any other value starting with ``-`` for an option."""
+    """``--order -1/2`` -> ``--order=-1/2``, and likewise for an abbreviation such as
+    ``--ord``: argparse reads only ``-<digits>[.<digits>]`` as a negative number and
+    would take any other value starting with ``-`` for an option.  Joined, a prefix
+    is still resolved (or refused as ambiguous) by argparse itself."""
     out = []
     for arg in argv:
-        if out and out[-1] == "--order" and len(arg) > 1 and arg[0] == "-" and arg[1] in "0123456789.":
-            out[-1] = f"--order={arg}"
+        prev = out[-1] if out else ""
+        if (len(prev) > 2 and "--order".startswith(prev)
+                and len(arg) > 1 and arg[0] == "-" and arg[1] in "0123456789."):
+            out[-1] = f"{prev}={arg}"
         else:
             out.append(arg)
     return out
@@ -444,10 +450,14 @@ def run(argv) -> int:
     parser = build_parser()
     args = parser.parse_args(_join_negative_orders(argv))
     try:
-        return args.handler(args)
+        with np.errstate(over="raise"):  # an overflow not handled below ends here, not in a warning
+            return args.handler(args)
     except CostGuardError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except FloatingPointError as exc:
+        print(f"error: a value is past the float range ({exc})", file=sys.stderr)
+        return 2
     except (ValueError, SourceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

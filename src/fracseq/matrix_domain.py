@@ -26,7 +26,7 @@ import numpy as np
 
 from .coefficients import FractionalOrder, raw_prefix
 from .errors import CostGuardError, SourceError
-from .serialize import json_integer, json_number, json_numbers
+from .serialize import format_float, json_integer, json_number, json_numbers
 from .transforms import Exponent, lq_norm, triangular_apply, _is_exact_number
 
 KIND_DENSE = "dense-window"
@@ -38,9 +38,8 @@ GENERATOR_RULES = ("identity", "diagonal", "finite-rows", "row-scaled-shift")
 DEFAULT_SUBSET_GUARD = 22
 SUBSET_GUARD_ENV = "FRACSEQ_MAX_SUBSET_ROWS"
 
-_CHUNK = 1 << 14
 _ROW_CHUNK = 256  # rows (and columns) per step of the hat product and row reductions
-_SCRATCH_BYTES = 1 << 21  # row-norm scratch: numpy asks for huge pages from 4 MiB, which can stay resident
+_SCRATCH_BYTES = 1 << 21  # row-norm and subset-scan scratch: numpy asks for huge pages from 4 MiB, which can stay resident
 
 
 def subset_guard_limit() -> int:
@@ -558,7 +557,11 @@ def hat_matrix(A: MatrixSource, order, row_count: int, column_bound: int) -> Hat
         if clip is not None and values.shape[1] > clip:
             values = values[:, :clip].copy()
             lengths = np.minimum(lengths, clip)
-    _triangular_product(values, lengths, -order.value)
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            _triangular_product(values, lengths, -order.value)
+    except FloatingPointError:
+        raise ValueError("a transformed window entry is past the float range") from None
     return HatMatrixWindow(values, lengths, column_bound, exactness)
 
 
@@ -567,6 +570,7 @@ def _exact_hat_rows(stored_rows, alpha: Fraction) -> tuple:
     return tuple(tuple(triangular_apply(r, coeffs, len(r), upper=True)) for r in stored_rows)
 
 
+@np.errstate(over="ignore")  # a norm past the float range reads inf
 def _row_norms(values: np.ndarray, q: float, center: np.ndarray | None = None) -> np.ndarray:
     """``l_q`` norm of every row of a zero-padded window, taken in row chunks.
 
@@ -601,25 +605,50 @@ def opnorm_to_linf(A: MatrixSource, order, p, row_count: int, column_bound: int)
     return float(_row_norms(window.values, q).max(initial=0.0))
 
 
-def _mask_tuple(mask: int) -> tuple:
-    out = []
-    i = 0
-    while mask:
-        if mask & 1:
-            out.append(i)
-        mask >>= 1
-        i += 1
-    return tuple(out)
-
-
-def _chunk_norms(sums: np.ndarray, q: float) -> np.ndarray:
-    """``l_q`` norm of each row of ``sums``, which it overwrites."""
+def _chunk_norms(sums: np.ndarray, q: float, axis: int = 1) -> np.ndarray:
+    """``l_q`` norm of each row (``axis=1``) or column (``axis=0``) of ``sums``, which it overwrites."""
     a = np.abs(sums, out=sums)
     if math.isinf(q):
-        return a.max(axis=1, initial=0.0)
+        return a.max(axis=axis, initial=0.0)
     if q == 1.0:
-        return a.sum(axis=1)
-    return np.power(a, q, out=a).sum(axis=1) ** (1.0 / q)
+        return a.sum(axis=axis)
+    return np.power(a, q, out=a).sum(axis=axis) ** (1.0 / q)
+
+
+def _subset_table(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sums of all ``2**k`` subsets of the ``k`` rows as columns of a ``width x 2**k`` table.
+
+    Columns come in segments by lowest row, row 0's first, then the
+    empty subset.  Segment ``v`` is row ``v`` added to every later
+    column, so each sum adds its rows in descending order.  Returns the
+    table and the row mask of each column.
+    """
+    k, width = rows.shape
+    n = 1 << k
+    table = np.zeros((width, n))
+    masks = np.zeros(n, dtype=np.int64)
+    for v in range(k - 1, -1, -1):
+        size = 1 << (k - 1 - v)
+        start = n - 2 * size
+        np.add(table[:, start + size:], rows[v][:, None], out=table[:, start:start + size])
+        masks[start:start + size] = masks[start + size:] | (1 << v)
+    return table, masks
+
+
+def _lex_smallest(masks: np.ndarray) -> tuple:
+    """The lexicographically smallest of the row-index tuples of distinct nonempty ``masks``."""
+    out = []
+    while True:
+        low = masks & -masks
+        if not low.all():  # that tuple ends here, so it is a prefix of every other one
+            return tuple(out)
+        bit = low.min()
+        masks = masks[low == bit] ^ bit
+        out.append(int(bit).bit_length() - 1)
+
+
+def _norm_overflow(q: float) -> ValueError:
+    return ValueError(f"the l_q norm (q={format_float(q)}) of a sum of window rows is past the float range")
 
 
 def _enumerate_subsets(rows: np.ndarray, q: float, want_by_min: bool):
@@ -630,38 +659,53 @@ def _enumerate_subsets(rows: np.ndarray, q: float, want_by_min: bool):
     is ``v`` (zeros when ``want_by_min`` is false).  The certificate is
     the lexicographically smallest maximizer.  Raises ``CostGuardError``
     above :func:`subset_guard_limit` rows.
+
+    The first ``k`` rows, as many as fit a ``width x 2**k`` table in
+    ``_SCRATCH_BYTES``, give a table of all their subset sums.  Each
+    subset of the other rows is summed afresh in ascending order and
+    added to the whole table at once, so a subset costs O(width) and no
+    working array outgrows the table.
     """
-    m = rows.shape[0]
+    m, width = rows.shape
     limit = subset_guard_limit()
     if m > limit:
         raise CostGuardError(
             f"exhaustive subset enumeration over {m} rows exceeds the "
             f"limit of {limit} (override via {SUBSET_GUARD_ENV})"
         )
-    total = 1 << m
-    col_ids = np.arange(m, dtype=np.int64)
+    k = min(m, max(0, (_SCRATCH_BYTES // (8 * max(width, 1))).bit_length() - 1))
+    n = 1 << k
+    segments = [n - (1 << (k - v)) for v in range(k)] + [n - 1]
+    high = np.empty(width)
     best_val = -1.0
     best_cert = None
     by_min = np.zeros(m)
-    for start in range(1, total, _CHUNK):
-        stop = min(start + _CHUNK, total)
-        masks = np.arange(start, stop, dtype=np.int64)
-        bits = ((masks[:, None] >> col_ids) & 1).astype(float)
-        vals = _chunk_norms(bits @ rows, q)
-        if want_by_min:
-            low = (masks & -masks).astype(float)
-            vidx = np.frexp(low)[1] - 1
-            np.maximum.at(by_min, vidx, vals)
-        cmax = float(vals.max())
-        if cmax > best_val:
-            best_val = cmax
-            ties = masks[vals == cmax]
-            best_cert = min(_mask_tuple(int(t)) for t in ties)
-        elif cmax == best_val:
-            ties = masks[vals == cmax]
-            cand = min(_mask_tuple(int(t)) for t in ties)
-            if cand < best_cert:
-                best_cert = cand
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below: vals.max() keeps inf and nan
+        table, low_masks = _subset_table(rows[:k])
+        buf = np.empty_like(table)
+        for h in range(1 << (m - k)):
+            high[:] = 0.0
+            for j in range(m - k):
+                if h >> j & 1:
+                    high += rows[k + j]
+            vals = _chunk_norms(np.add(table, high[:, None], out=buf), q, axis=0)
+            if want_by_min:
+                seg = np.maximum.reduceat(vals, segments)
+                np.maximum(by_min[:k], seg[:k], out=by_min[:k])
+                if h:
+                    v = k + (h & -h).bit_length() - 1
+                    by_min[v] = max(by_min[v], seg[k])
+            if not h:
+                vals = vals[:-1]  # the empty subset
+                if not len(vals):
+                    continue
+            cmax = float(vals.max())
+            if not math.isfinite(cmax):
+                raise _norm_overflow(q)
+            if cmax >= best_val:
+                cert = _lex_smallest(low_masks[:len(vals)][vals == cmax] | (h << k))
+                if cmax > best_val or cert < best_cert:
+                    best_val, best_cert = cmax, cert
     return best_val, best_cert, by_min
 
 
@@ -671,8 +715,11 @@ def _greedy_subset(rows: np.ndarray, q: float, indices) -> tuple[float, tuple]:
     value = 0.0
     chosen = []
     for n in indices:
-        cand = current + rows[n]
+        with np.errstate(over="ignore", invalid="ignore"):
+            cand = current + rows[n]
         cval = lq_norm(cand.tolist(), q)
+        if not math.isfinite(cval):
+            raise _norm_overflow(q)
         if cval > value:
             current = cand
             value = cval

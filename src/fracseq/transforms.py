@@ -248,7 +248,10 @@ def lq_norm(values, q: float) -> float:
         return best
     acc = 0.0
     for v in values:
-        acc += abs(float(v)) ** q
+        try:
+            acc += abs(float(v)) ** q
+        except OverflowError:  # past the float range, where a sum would read inf
+            return math.inf
     return acc ** (1.0 / q)
 
 

@@ -35,11 +35,10 @@ def pre_inverted_source(target_rows, order, **kwargs):
     return MatrixSource.dense_window(pre_invert_rows(target_rows, order), **kwargs)
 
 
-def brute_subset_sup(rows, q, members):
-    """Independent subset-supremum oracle by direct enumeration."""
+def brute_subset_values(rows, q, members):
+    """Every nonempty subset of ``members`` with the ``q``-norm of its summed rows."""
     members = list(members)
     width = max((len(r) for r in rows), default=0)
-    best = 0.0
     for size in range(1, len(members) + 1):
         for subset in itertools.combinations(members, size):
             acc = [0.0] * width
@@ -50,5 +49,9 @@ def brute_subset_sup(rows, q, members):
                 val = max((abs(v) for v in acc), default=0.0)
             else:
                 val = sum(abs(v) ** q for v in acc) ** (1.0 / q)
-            best = max(best, val)
-    return best
+            yield subset, val
+
+
+def brute_subset_sup(rows, q, members):
+    """Independent subset-supremum oracle by direct enumeration."""
+    return max((val for _, val in brute_subset_values(rows, q, members)), default=0.0)

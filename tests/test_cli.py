@@ -338,6 +338,46 @@ def test_negative_ratio_order_as_separate_argument(tmp_path, capsys):
         assert (code, out, err) == invoke(capsys, argv[0], "--order=-1/2", *argv[1:])
 
 
+@pytest.mark.parametrize("spelling", ["--or", "--ord", "--orde"])
+def test_negative_order_after_an_abbreviated_flag(capsys, spelling):
+    code, out, err = invoke(capsys, "coeffs", spelling, "-1/2", "--n", "3")
+    assert (code, err) == (0, "")
+    assert (code, out, err) == invoke(capsys, "coeffs", "--order=-1/2", "--n", "3")
+
+
+def test_ambiguous_order_prefix_stays_an_argparse_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(["coeffs", "--o", "-1/2", "--n", "3"])  # --o also abbreviates --out
+    assert exc.value.code == 2
+    assert "ambiguous option: --o" in capsys.readouterr().err
+
+
+def test_overflowing_windows_and_norms_exit_2(tmp_path, capsys):
+    huge = tmp_path / "huge.json"
+    write_json(huge, {"kind": "dense-window", "rows": [[1e300]]})
+    near_max = tmp_path / "near_max.json"
+    write_json(near_max, {"kind": "dense-window", "rows": [[-1e308, -1e308]]})
+    seq = tmp_path / "x.json"
+    write_json(seq, {"entries": [1e300, 1.0]})
+    alternating = tmp_path / "alternating.json"  # column differences and sums overflow
+    write_json(alternating, {"kind": "dense-window", "rows": [[1e308, -1e308, 1e308],
+                                                             [-1e308, 1e308, -1e308],
+                                                             [1e308, 1e308, 1e308]]})
+    window = ["--rows", "1", "--cols", "2"]
+    wide = ["--matrix", str(alternating), "--rows", "3", "--cols", "3", "--format", "table"]
+    for argv in (["opnorm-l1", "--order", "1/2", "--matrix", str(huge), *window],
+                 ["opnorm-l1", "--order", "1/2", "--matrix", str(huge), *window, "--method", "greedy"],
+                 ["hat", "--order", "1", "--matrix", str(near_max), *window],
+                 ["mnc-c0", "--order", "1", "--matrix", str(near_max), *window, "--r-grid", "0",
+                  "--format", "table"],
+                 ["dualnorm", "--order", "1/2", "--in", str(seq)],
+                 ["sargent", "--order", "0", *wide, "--m-grid", "1"],
+                 ["mnc-c", "--order", "0", *wide, "--r-grid", "0", "--stab-window", "2"]):
+        code, out, err = invoke(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
 def test_infinite_stabilization_tolerance_exits_2(tmp_path, capsys):
     matrix = tmp_path / "m.json"
     write_json(matrix, {"kind": "generator", "rule": "diagonal", "params": {"ratio": 1.0}})
