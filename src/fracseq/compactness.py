@@ -233,8 +233,11 @@ def _alpha_hat(window: HatMatrixWindow, column_bound: int,
     w = stabilization.window
     kept = _columns(window.values[-2 * w:], column_bound)
     tail = kept[-w:]
-    estimates = tail.sum(axis=0) / len(tail)
-    converged = (np.abs(tail - estimates) <= stabilization.tolerance).all(axis=0)
+    with np.errstate(over="ignore"):  # a sample past the float range from its mean is unconverged
+        estimates = tail.sum(axis=0) / len(tail)
+        converged = (np.abs(tail - estimates) <= stabilization.tolerance).all(axis=0)
+    if not np.isfinite(estimates).all():
+        raise ValueError("a column mean of the transformed window is past the float range")
     converged &= window.row_count >= w
     return [
         AlphaHatEstimate(k, tuple(samples), estimate, ok)
@@ -348,8 +351,11 @@ def sargent_criterion(A: MatrixSource, order, *, m_grid, row_count, column_windo
     C = _columns(window.values, column_window)
     defects = np.zeros(len(grid))
     for k1 in range(column_window - 1):
-        diffs = np.abs(C[:, k1 + 1:] - C[:, k1: k1 + 1])
+        with np.errstate(over="ignore"):  # checked on the next line
+            diffs = np.abs(C[:, k1 + 1:] - C[:, k1: k1 + 1])
         full = diffs.max(axis=0)
+        if not np.isfinite(full).all():
+            raise ValueError("a column difference of the transformed window is past the float range")
         running = np.maximum.accumulate(diffs, axis=0)
         for gi, m in enumerate(grid):
             gap = (full - running[m]).max()

@@ -378,6 +378,16 @@ def test_overflowing_windows_and_norms_exit_2(tmp_path, capsys):
         assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
+@pytest.mark.parametrize("rule", ["diagonal", "row-scaled-shift"])
+def test_overflowing_generator_ratio_names_rule_parameter_and_row(tmp_path, capsys, rule):
+    matrix = tmp_path / "m.json"
+    write_json(matrix, {"kind": "generator", "rule": rule, "params": {"ratio": 1e308}})
+    code, out, err = invoke(capsys, "hat", "--order", "1/2", "--matrix", str(matrix),
+                            "--rows", "4", "--cols", "4")
+    assert (code, out) == (2, "")
+    assert err == f"error: {rule} rule: scale*ratio**2 is past the float range at row 2 (ratio=1e+308)\n"
+
+
 def test_infinite_stabilization_tolerance_exits_2(tmp_path, capsys):
     matrix = tmp_path / "m.json"
     write_json(matrix, {"kind": "generator", "rule": "diagonal", "params": {"ratio": 1.0}})

@@ -444,3 +444,21 @@ def test_table_items_equal_their_criterion_reports():
                                 method="greedy", **window)
         assert table.criterion_id == f"T{item}"
         assert dataclasses.replace(table, criterion_id=report.criterion_id) == report
+
+
+def test_overflowing_column_differences_and_means_raise():
+    # column differences 1e308 - (-1e308) and the column sums of the last rows overflow
+    A = MatrixSource.dense_window([[1e308, -1e308, 1e308], [-1e308, 1e308, -1e308],
+                                   [1e308, 1e308, 1e308]])
+    policy = StabilizationPolicy(window=2)
+    with pytest.raises(ValueError, match="column difference of the transformed window is past the float range"):
+        sargent_criterion(A, 0, m_grid=[1], row_count=3, column_window=3)
+    with pytest.raises(ValueError, match="column mean of the transformed window is past the float range"):
+        estimate_alpha_hat(A, 0, row_count=3, column_bound=3, stabilization=policy)
+    with pytest.raises(ValueError, match="column mean"):
+        mnc_c(A, 0, 1, r_grid=[0], row_count=3, column_bound=3, stabilization=policy)
+    # a sample whose distance from a finite mean overflows is unconverged, not an error
+    B = MatrixSource.dense_window([[1.7e308], [-1.7e308], [1.7e308]])
+    (alpha,) = estimate_alpha_hat(B, 0, row_count=3, column_bound=1,
+                                  stabilization=StabilizationPolicy(window=3))
+    assert (alpha.estimate, alpha.converged) == (1.7e308 / 3, False)
