@@ -40,11 +40,6 @@ SUBSET_GUARD_ENV = "FRACSEQ_MAX_SUBSET_ROWS"
 
 _ROW_CHUNK = 256  # rows (and columns) per step of the hat product and row reductions
 _SCRATCH_BYTES = 1 << 21  # row-norm and subset-scan scratch: numpy asks for huge pages from 4 MiB, which can stay resident
-# Band sources with at most this many distinct offsets take _band_hat, the others the
-# product.  Measured crossover (order 1/2, random diagonals, 2-core AMD EPYC VM, band vs
-# product): 8 offsets 0.59 vs 0.54 ms at 256 rows, 5.6 vs 7.3 ms at 1024, 18 vs 29 ms at
-# 2048; 12 offsets 1.0 vs 0.60 ms at 256 rows, 8.0 vs 8.6 ms at 1024.
-_BAND_HAT_OFFSETS = 8
 
 
 def subset_guard_limit() -> int:
@@ -561,6 +556,15 @@ def _window_args(row_count, column_bound):
             raise ValueError(f"{name} must be a positive integer, got {v!r}")
 
 
+def _float_prefix(alpha: float, width: int) -> np.ndarray:
+    """The coefficient prefix as floats; one past the float range raises ``FloatingPointError``,
+    since its products with finite entries raise no overflow."""
+    prefix = np.array(raw_prefix(alpha, width))
+    if not np.isfinite(prefix).all():
+        raise FloatingPointError("coefficient prefix past the float range")
+    return prefix
+
+
 def _triangular_product(values: np.ndarray, lengths: np.ndarray, alpha: float) -> None:
     """``values <- values @ U`` in place, where ``U[j, k] = c_{j-k}`` for ``j >= k``.
 
@@ -578,7 +582,7 @@ def _triangular_product(values: np.ndarray, lengths: np.ndarray, alpha: float) -
     if width == 0:
         return
     slab_width = min(width, _ROW_CHUNK)
-    padded = np.concatenate([np.zeros(slab_width - 1), raw_prefix(alpha, width)])
+    padded = np.concatenate([np.zeros(slab_width - 1), _float_prefix(alpha, width)])
     slab = np.ascontiguousarray(np.lib.stride_tricks.sliding_window_view(padded, slab_width)[:, ::-1])
     cols = np.arange(width)
     for start in range(0, values.shape[0], _ROW_CHUNK):
@@ -607,9 +611,7 @@ def _band_hat(bands, m: int, n_rows: int, alpha: float) -> tuple[np.ndarray, np.
     out = np.zeros((n_rows, width))
     if width:
         prefix = np.zeros(2 * width - 1)
-        prefix[width - 1 :: -1] = raw_prefix(alpha, width)
-        if not np.isfinite(prefix).all():  # an infinite factor would raise no overflow below
-            raise FloatingPointError("coefficient prefix past the float range")
+        prefix[width - 1 :: -1] = _float_prefix(alpha, width)
         windows = np.lib.stride_tricks.sliding_window_view(prefix, width)
         step = max(1, min(_ROW_CHUNK, _SCRATCH_BYTES // (8 * width)))
         scratch = np.empty((min(step, m), width)) if len(bands) > 1 else None
@@ -635,9 +637,8 @@ def hat_matrix(A: MatrixSource, order, row_count: int, column_bound: int) -> Hat
     are the whole row); otherwise rows are clipped at ``column_bound``
     and the window is tagged truncated.  Rows holding only exact numbers
     at an exact order give ``Fraction`` rows.  A band-structured source
-    with at most ``_BAND_HAT_OFFSETS`` distinct offsets sums shifted
-    coefficient prefixes (:func:`_band_hat`); every other window is one
-    triangular product on the float block of the rows.
+    sums shifted coefficient prefixes (:func:`_band_hat`); every other
+    window is one triangular product on the float block of the rows.
     """
     order = FractionalOrder.of(order)
     _window_args(row_count, column_bound)
@@ -653,10 +654,8 @@ def hat_matrix(A: MatrixSource, order, row_count: int, column_bound: int) -> Hat
     elif A._bands_fn is not None:  # band sources decay, so nothing is clipped
         m = A._bounded(row_count)
         bands = _checked_bands(A._bands_fn(m))
-        if len(bands) <= _BAND_HAT_OFFSETS:
-            values, lengths = _in_float_range(_band_hat, bands, m, row_count, alpha)
-            return HatMatrixWindow(values, lengths, column_bound, exactness)
-        values, lengths = _pad_rows(*_scatter_bands(bands, m), row_count)
+        values, lengths = _in_float_range(_band_hat, bands, m, row_count, alpha)
+        return HatMatrixWindow(values, lengths, column_bound, exactness)
     else:
         values, lengths = A.block(row_count)
         if clip is not None and values.shape[1] > clip:

@@ -138,12 +138,16 @@ def test_entries_left_of_column_zero_are_never_read():
 
 
 def test_overflowing_coefficient_prefix_raises():
-    # at order 1e300 the inverse-order coefficient c_2 is inf
+    # at order 1e300 the inverse-order coefficient c_2 is inf; finite entries times it
+    # raise no overflow, so both paths check the prefix itself
     for source, n in ((MatrixSource.generator("identity"), 3),
-                      (MatrixSource.generator("row-scaled-shift", {"shift": 2}), 1)):
-        _, error = band_hat(source, 1e300, n)
-        assert str(error) == "a transformed window entry is past the float range"
-    assert str(product_hat(MatrixSource.generator("identity"), 1e300, 3)[1]) == str(error)
+                      (MatrixSource.generator("row-scaled-shift", {"shift": 2}), 1),
+                      (MatrixSource.dense_window([[0.0, 0.0, 1.0]]), 1),
+                      (MatrixSource.dense_window([[1.0, 1.0, 1.0]]), 1)):
+        for hat in (band_hat, product_hat):
+            _, error = hat(source, 1e300, n)
+            assert isinstance(error, ValueError)
+            assert str(error) == "a transformed window entry is past the float range"
 
 
 def counted_product(monkeypatch):
@@ -158,17 +162,18 @@ def counted_product(monkeypatch):
     return calls
 
 
-def test_more_than_eight_offsets_take_the_product(monkeypatch):
+def test_only_sources_without_bands_take_the_product(monkeypatch):
     rng = np.random.default_rng(3)
     cases = []
-    for k in (8, 9):
+    for k in (8, 16):
         offsets = list(range(-4, k - 4))
         cases.append(MatrixSource.banded(offsets, [list(rng.uniform(-1, 1, 40)) for _ in offsets]))
-    cases.append(MatrixSource.banded([0, 1, 2] * 5, [1.0] * 15))  # repeated offsets count once
+    cases.append(MatrixSource.banded([0, 1, 2] * 5, [1.0] * 15))
     cases.append(MatrixSource.dense_window([[1.0, 2.0]] * 40))
+    cases.append(MatrixSource.generator("finite-rows", {"rows": [[1.0, -2.0]] * 40}))
     refs = [product_hat(source, Fraction(1, 2), 40)[0] for source in cases]
     calls = counted_product(monkeypatch)
-    for source, (ref_values, ref_lengths), product_calls in zip(cases, refs, (0, 1, 1, 2)):
+    for source, (ref_values, ref_lengths), product_calls in zip(cases, refs, (0, 0, 0, 1, 2)):
         window = hat_matrix(source, Fraction(1, 2), 40, 40)
         assert len(calls) == product_calls
         assert window.lengths.tolist() == ref_lengths.tolist()
